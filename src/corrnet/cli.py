@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     corpus, split = _load_split(args)
     table = load_embeddings(args.embeddings)
-    params = neural.load_checkpoint(args.checkpoint)
+    params = _load_model(args.checkpoint, table, neural.ModelParams)
     result = training.evaluate(params, corpus, split.test_indices, table)
     print("test_pearson_r\t%.6f" % result["pearson_r"])
     return 0
@@ -146,13 +146,6 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _ensemble_dir_paths(dirpath, n=None):
-    if n is None:
-        names = sorted(p for p in os.listdir(dirpath) if p.endswith(".npz"))
-        return [os.path.join(dirpath, p) for p in names]
-    return [os.path.join(dirpath, "member_%03d.npz" % k) for k in range(n)]
-
-
 def _save_ensemble(ens: ensemble_mod.Ensemble, dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
     for k, params in enumerate(ens.members):
@@ -164,17 +157,39 @@ def _save_ensemble(ens: ensemble_mod.Ensemble, dirpath) -> None:
 
 
 def _load_ensemble(dirpath) -> ensemble_mod.Ensemble:
-    paths = _ensemble_dir_paths(dirpath)
-    members = [neural.load_checkpoint(p) for p in paths]
-    seeds = list(range(len(members)))
     manifest = os.path.join(dirpath, "manifest.tsv")
-    bagging = True
-    if os.path.exists(manifest):
-        with open(manifest, encoding="utf-8") as fh:
-            rows = fh.read().splitlines()[1:]
-        seeds = [int(r.split("\t")[1]) for r in rows]
-        bagging = bool(int(rows[0].split("\t")[2]))
+    if not os.path.isfile(manifest):
+        raise ValueError(f"{manifest}: ensemble manifest is missing")
+    with open(manifest, encoding="utf-8") as fh:
+        rows = [r.split("\t") for r in fh.read().splitlines()[1:]]
+    paths = sorted(os.path.join(dirpath, p) for p in os.listdir(dirpath) if p.endswith(".npz"))
+    if len(rows) != len(paths):
+        raise ValueError(f"{manifest}: {len(rows)} rows for {len(paths)} member checkpoints")
+    try:
+        seeds = [int(r[1]) for r in rows]
+        bagging = bool(int(rows[0][2]))
+    except (IndexError, ValueError):
+        raise ValueError(f"{manifest}: expected rows of member, seed, bagging") from None
+    members = [neural.load_checkpoint(p) for p in paths]
+    dims = [(p.d, p.h, p.m) for p in members]
+    for path, member_dims in zip(paths, dims):
+        if member_dims != dims[0]:
+            raise ValueError(f"{path}: dims {member_dims} differ from {paths[0]}'s {dims[0]}")
     return ensemble_mod.Ensemble(members, seeds, bagging)
+
+
+def _load_model(path, table, kind=(neural.ModelParams, ensemble_mod.Ensemble)):
+    """A model file or an ensemble directory, of the type the command needs,
+    whose input dimension is the vector file's."""
+    model = _load_ensemble(path) if os.path.isdir(path) else neural.load_checkpoint(path)
+    if not isinstance(model, kind):
+        raise ValueError(f"{path}: this command needs "
+                         + ("an ensemble directory" if kind is ensemble_mod.Ensemble
+                            else "a single model file"))
+    d = (model.members[0] if isinstance(model, ensemble_mod.Ensemble) else model).d
+    if d != table.dim:
+        raise ValueError(f"{path}: model takes {d}-dim vectors, the vector file has {table.dim}")
+    return model
 
 
 def cmd_ensemble_train(args) -> int:
@@ -192,7 +207,7 @@ def cmd_ensemble_train(args) -> int:
 def cmd_qbc(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     table = load_embeddings(args.embeddings)
-    ens = _load_ensemble(args.ensemble)
+    ens = _load_model(args.ensemble, table, ensemble_mod.Ensemble)
     seed = int(resolve(args, "seed", int))
     estimates = ensemble_mod.qbc_search(
         ens, corpus, table, int(resolve(args, "candidates", int)), seed,
@@ -219,10 +234,7 @@ def cmd_qbc(args) -> int:
 def cmd_infill(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     table = load_embeddings(args.embeddings)
-    if os.path.isdir(args.checkpoint):
-        model = _load_ensemble(args.checkpoint)
-    else:
-        model = neural.load_checkpoint(args.checkpoint)
+    model = _load_model(args.checkpoint, table)
     papers = args.papers.split(",")
     ct = infill_mod.build_table(corpus, papers, model, table)
     values_path, mask_path = infill_mod.export_table(ct, args.out)
@@ -242,20 +254,7 @@ def cmd_selftest(args) -> int:
         params = neural.init_params(4, 3, 2, seed=trial)
         seq_a = [rng.standard_normal(4) for _ in range(int(rng.integers(1, 5)))]
         seq_b = [rng.standard_normal(4) for _ in range(int(rng.integers(1, 5)))]
-        _, trace = neural.predict_pair(seq_a, seq_b, params)
-        grads = neural.backward(trace, 1.0, params)
-        eps = 1e-5
-        for name, w in params.weights.items():
-            for idx in np.ndindex(w.shape):
-                orig = w[idx]
-                w[idx] = orig + eps
-                up = neural.predict_pair(seq_a, seq_b, params)[0].r_hat
-                w[idx] = orig - eps
-                down = neural.predict_pair(seq_a, seq_b, params)[0].r_hat
-                w[idx] = orig
-                num = (up - down) / (2 * eps)
-                denom = max(abs(num), abs(grads[name][idx]), 1e-6)
-                worst = max(worst, abs(num - grads[name][idx]) / denom)
+        worst = max(worst, neural.gradcheck(params, seq_a, seq_b))
     grad_ok = worst < 1e-4
     ok &= grad_ok
     print("gradient_check\t%s\t(max rel err %.2e)" % ("PASS" if grad_ok else "FAIL", worst))

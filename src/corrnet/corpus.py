@@ -59,9 +59,6 @@ class Corpus:
     def n_findings(self) -> int:
         return len(self.findings)
 
-    def tokens_of(self, correlate_id: int) -> tuple[str, ...]:
-        return self.correlates[correlate_id].tokens
-
 
 @dataclass(frozen=True)
 class Split:
@@ -159,15 +156,11 @@ def split_corpus(corpus: Corpus, train_fraction: float = 0.8, seed: int = 0) -> 
 
 def corpus_stats(corpus: Corpus) -> dict:
     """Counts of correlates and tested pairs, and the untested fraction."""
-    n = corpus.n_correlates
-    if n < 2:
-        raise CorpusError("untested fraction undefined with fewer than 2 correlates")
-    n_tested = len(corpus.pair_index)
-    total_pairs = n * (n - 1) // 2
+    n, n_tested = corpus.n_correlates, len(corpus.pair_index)
     return {
         "n_correlates": n,
         "n_tested_pairs": n_tested,
-        "untested_fraction": 1.0 - n_tested / total_pairs,
+        "untested_fraction": untested_fraction(n, n_tested),
     }
 
 

@@ -10,9 +10,9 @@ import numpy as np
 
 from .corpus import Corpus, Split, _pair_key
 from .embeddings import EmbeddingTable, OovPolicy
-from .neural import ModelParams, predict_pair
+from .neural import ModelParams, predict
 from .stats import MwuResult, mann_whitney_u, pearson, quartiles
-from .training import SequenceCache, TrainConfig, train
+from .training import TrainConfig, embed_pairs, train
 
 
 @dataclass
@@ -88,8 +88,7 @@ def summarize_predictions(preds, pair: tuple[int, int] = (-1, -1)) -> EnsembleEs
 def ensemble_estimate(ensemble: Ensemble, seq_a, seq_b,
                       pair: tuple[int, int] = (-1, -1)) -> EnsembleEstimate:
     """All-member prediction summary for one pair of embedded sequences."""
-    preds = [predict_pair(seq_a, seq_b, p)[0].r_hat for p in ensemble.members]
-    return summarize_predictions(preds, pair)
+    return summarize_predictions(predict(ensemble.members, [seq_a, seq_b], [(0, 1)])[0], pair)
 
 
 def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[tuple[int, int]]:
@@ -129,9 +128,8 @@ def qbc_search(ensemble: Ensemble, corpus: Corpus, table: EmbeddingTable,
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must be in (0, 1]")
     pairs = sample_untested_pairs(corpus, n_candidates, seed)
-    cache = SequenceCache(corpus, table, oov)
-    estimates = [ensemble_estimate(ensemble, cache[a], cache[b], (a, b))
-                 for a, b in pairs]
+    preds = predict(ensemble.members, embed_pairs(corpus, pairs, table, oov), pairs)
+    estimates = [summarize_predictions(row, pair) for row, pair in zip(preds, pairs)]
     estimates.sort(key=lambda e: (-e.disagreement, e.pair))
     n_flagged = math.ceil(top_fraction * n_candidates)
     for e in estimates[:n_flagged]:

@@ -8,9 +8,9 @@ import numpy as np
 
 from .corpus import Corpus, _pair_key
 from .embeddings import EmbeddingTable, OovPolicy
-from .ensemble import Ensemble, ensemble_estimate
-from .neural import ModelParams, predict_pair
-from .training import SequenceCache
+from .ensemble import Ensemble
+from .neural import predict
+from .training import embed_pairs
 
 KIND_DIAGONAL = "D"
 KIND_REPORTED = "R"
@@ -24,14 +24,6 @@ class CorrelationTable:
     values: np.ndarray   # (n, n), nan on the diagonal
     kinds: np.ndarray    # (n, n) of {"D", "R", "P"}
     infill_fraction: float
-
-
-def _predictor(model, cache):
-    if isinstance(model, Ensemble):
-        return lambda a, b: ensemble_estimate(model, cache[a], cache[b], (a, b)).mean
-    if isinstance(model, ModelParams):
-        return lambda a, b: predict_pair(cache[a], cache[b], model)[0].r_hat
-    raise TypeError("model must be ModelParams or Ensemble")
 
 
 def build_table(corpus: Corpus, paper_ids: list[str], model,
@@ -60,29 +52,26 @@ def build_table(corpus: Corpus, paper_ids: list[str], model,
     if n < 2:
         raise ValueError("selected papers contribute fewer than 2 correlates")
 
-    cache = SequenceCache(corpus, table, oov)
-    predict = _predictor(model, cache)
     values = np.full((n, n), np.nan)
     kinds = np.full((n, n), KIND_DIAGONAL, dtype=object)
-    n_reported = 0
-    n_predicted = 0
+    unreported: list[tuple[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = order[i], order[j]
-            finding_idx = corpus.pair_index.get(_pair_key(a, b))
+            finding_idx = corpus.pair_index.get(_pair_key(order[i], order[j]))
             if finding_idx:
-                val = float(np.mean([corpus.findings[k].r for k in finding_idx]))
-                kind = KIND_REPORTED
-                n_reported += 1
+                values[i, j] = values[j, i] = np.mean([corpus.findings[k].r for k in finding_idx])
+                kinds[i, j] = kinds[j, i] = KIND_REPORTED
             else:
-                val = predict(a, b)
-                kind = KIND_PREDICTED
-                n_predicted += 1
-            values[i, j] = values[j, i] = val
-            kinds[i, j] = kinds[j, i] = kind
+                unreported.append((i, j))
+    members = model.members if isinstance(model, Ensemble) else [model]
+    pairs = [(order[i], order[j]) for i, j in unreported]
+    means = predict(members, embed_pairs(corpus, pairs, table, oov), pairs).mean(axis=1)
+    for (i, j), val in zip(unreported, means.tolist()):
+        values[i, j] = values[j, i] = val
+        kinds[i, j] = kinds[j, i] = KIND_PREDICTED
     return CorrelationTable(
         order, [corpus.correlates[c].raw_text for c in order],
-        values, kinds, n_predicted / (n_reported + n_predicted))
+        values, kinds, len(unreported) / (n * (n - 1) // 2))
 
 
 def export_table(ct: CorrelationTable, prefix) -> tuple[str, str]:

@@ -34,28 +34,32 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.d, self.h, self.m, {k: v.copy() for k, v in self.weights.items()})
 
-    def flat_names(self) -> list[str]:
-        return sorted(self.weights)
-
     def assert_finite(self) -> None:
         for name, w in self.weights.items():
             if not np.all(np.isfinite(w)):
                 raise FloatingPointError(f"non-finite values in parameter {name}")
 
 
+def _shapes(d: int, h: int, m: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape: the matrices, then the biases, in spec order."""
+    sizes = {"d": d, "h": h, "m": m, "two_h": 2 * h, "one": 1}
+    shapes = {name: (sizes[out_key], sizes[in_key]) for name, out_key, in_key in _MATRIX_SPECS}
+    shapes.update({name: (sizes[size_key],) for name, size_key in _BIAS_SPECS})
+    return shapes
+
+
 def init_params(d: int, h: int, m: int, seed: int = 0) -> ModelParams:
     """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     if min(d, h, m) < 1:
         raise ValueError("d, h, m must all be >= 1")
-    sizes = {"d": d, "h": h, "m": m, "two_h": 2 * h, "one": 1}
     rng = np.random.default_rng(seed)
     weights: dict[str, np.ndarray] = {}
-    for name, out_key, in_key in _MATRIX_SPECS:
-        fan_out, fan_in = sizes[out_key], sizes[in_key]
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights[name] = rng.uniform(-s, s, size=(fan_out, fan_in))
-    for name, size_key in _BIAS_SPECS:
-        weights[name] = np.zeros(sizes[size_key])
+    for name, shape in _shapes(d, h, m).items():
+        if len(shape) == 2:
+            s = np.sqrt(6.0 / sum(shape))
+            weights[name] = rng.uniform(-s, s, size=shape)
+        else:
+            weights[name] = np.zeros(shape)
     return ModelParams(d, h, m, weights)
 
 
@@ -92,11 +96,6 @@ class ForwardTrace:
     r_hat: float
 
 
-@dataclass(frozen=True)
-class Prediction:
-    r_hat: float
-
-
 def _gru_forward(seq, w) -> list[_StepTrace]:
     h = np.zeros_like(w["b_z"])
     steps = []
@@ -121,8 +120,15 @@ def encode(seq, params: ModelParams) -> np.ndarray:
     return _final_state(_gru_forward(seq, params.weights))
 
 
-def predict_pair(seq_a, seq_b, params: ModelParams) -> tuple[Prediction, ForwardTrace]:
-    """Predict the correlation for a pair of embedded sequences.
+def _head(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, float]:
+    """Head input, hidden activation and prediction; symmetric in e_a, e_b bit for bit."""
+    combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)])
+    u1 = np.tanh(w["head_w1"] @ combined + w["head_b1"])
+    return combined, u1, float(np.tanh(w["head_w2"] @ u1 + w["head_b2"])[0])
+
+
+def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
+    """Forward pass for a pair of embedded sequences; the prediction is r_hat.
 
     Symmetric by construction: both orders produce bit-identical output.
     """
@@ -130,10 +136,22 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> tuple[Prediction, Forward
     steps_a = _gru_forward(seq_a, w)
     steps_b = _gru_forward(seq_b, w)
     e_a, e_b = _final_state(steps_a), _final_state(steps_b)
-    combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)])
-    u1 = np.tanh(w["head_w1"] @ combined + w["head_b1"])
-    r_hat = float(np.tanh(w["head_w2"] @ u1 + w["head_b2"])[0])
-    return Prediction(r_hat), ForwardTrace(steps_a, steps_b, e_a, e_b, combined, u1, r_hat)
+    combined, u1, r_hat = _head(e_a, e_b, w)
+    return ForwardTrace(steps_a, steps_b, e_a, e_b, combined, u1, r_hat)
+
+
+def predict(models, seqs, pairs) -> np.ndarray:
+    """Every model's prediction for every pair, shape (len(pairs), len(models)).
+
+    Each correlate named in pairs is encoded once per model from seqs[c]; each
+    pair is scored alone by predict_pair's head, so values equal its r_hat bit
+    for bit, in either order and whatever else is in the call."""
+    ids = list(dict.fromkeys(c for pair in pairs for c in pair))
+    out = np.empty((len(pairs), len(models)))
+    for k, params in enumerate(models):
+        enc = {c: encode(seqs[c], params) for c in ids}
+        out[:, k] = [_head(enc[a], enc[b], params.weights)[2] for a, b in pairs]
+    return out
 
 
 def _gru_backward(steps: list[_StepTrace], d_final: np.ndarray, w, grads) -> None:
@@ -200,10 +218,46 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Load a save_checkpoint file, checking its format version, its
+    parameter names and every shape against its stored dims."""
     with np.load(path) as data:
-        if int(data["__format_version"][0]) != 1:
-            raise ValueError("unsupported checkpoint version")
-        d, h, m = (int(v) for v in data["__dims"])
-        weights = {k: data[k].astype(np.float64) for k in data.files
-                   if not k.startswith("__")}
-    return ModelParams(d, h, m, weights)
+        stored = {k: data[k] for k in data.files}
+    version = stored.pop("__format_version", None)
+    if version is None or "__dims" not in stored:
+        raise ValueError(f"{path}: not a corrnet checkpoint (no format version or dims)")
+    if version.tolist() != [1]:
+        raise ValueError(f"{path}: unsupported checkpoint version {version.tolist()}")
+    dims = stored.pop("__dims")
+    if dims.shape != (3,) or dims.min() < 1:
+        raise ValueError(f"{path}: malformed dims {dims.tolist()}")
+    d, h, m = (int(v) for v in dims)
+    shapes = _shapes(d, h, m)  # computed, not allocated: the dims are untrusted
+    if stored.keys() != shapes.keys():
+        raise ValueError(f"{path}: missing parameters {sorted(shapes.keys() - stored.keys())}, "
+                         f"unexpected {sorted(stored.keys() - shapes.keys())}")
+    for name, shape in shapes.items():
+        if stored[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {stored[name].shape}, "
+                             f"expected {shape} for d={d}, h={h}, m={m}")
+    return ModelParams(d, h, m, {k: v.astype(np.float64) for k, v in stored.items()})
+
+
+def gradcheck(params: ModelParams, seq_a, seq_b) -> float:
+    """Largest relative error between backward's gradient of r_hat and
+    central finite differences with step 1e-5, over every weight; the
+    denominator is at least 1e-6. The weights are restored afterwards."""
+    eps = 1e-5
+    analytic = backward(predict_pair(seq_a, seq_b, params), 1.0, params)
+    worst = 0.0
+    for name, w in params.weights.items():
+        for idx in np.ndindex(w.shape):
+            orig = w[idx]
+            w[idx] = orig + eps
+            up = predict_pair(seq_a, seq_b, params).r_hat
+            w[idx] = orig - eps
+            down = predict_pair(seq_a, seq_b, params).r_hat
+            w[idx] = orig
+            num = (up - down) / (2 * eps)
+            grad = analytic[name][idx]
+            worst = max(worst, abs(num - grad) / max(abs(num), abs(grad), 1e-6))
+    return worst

@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import Corpus, Split
 from .embeddings import EmbeddingTable, OovPolicy, embed_sequence
-from .neural import (ModelParams, backward, init_params, predict_pair,
+from .neural import (ModelParams, backward, init_params, predict, predict_pair,
                      zero_grads)
 from .stats import pearson
 
@@ -96,23 +96,22 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         params.weights[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
 
 
-class SequenceCache:
-    """Embeds each correlate's token sequence once."""
-
-    def __init__(self, corpus: Corpus, table: EmbeddingTable, oov: OovPolicy = OovPolicy.MEAN):
-        self._seqs = {cid: embed_sequence(c.tokens, table, oov)
-                      for cid, c in corpus.correlates.items()}
-
-    def __getitem__(self, cid: int):
-        return self._seqs[cid]
+def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable,
+                oov: OovPolicy = OovPolicy.MEAN) -> dict[int, list[np.ndarray]]:
+    """The embedded token sequence of every correlate named in pairs."""
+    cids = dict.fromkeys(cid for pair in pairs for cid in pair)
+    return {cid: embed_sequence(corpus.correlates[cid].tokens, table, oov) for cid in cids}
 
 
-def _mean_loss(params, corpus, indices, cache) -> float:
+def _finding_pairs(corpus: Corpus, indices) -> list[tuple[int, int]]:
+    return [(corpus.findings[i].correlate_a, corpus.findings[i].correlate_b) for i in indices]
+
+
+def _mean_loss(params, corpus, indices, seqs) -> float:
+    r_hats = predict([params], seqs, _finding_pairs(corpus, indices))[:, 0]
     total = 0.0
-    for i in indices:
-        f = corpus.findings[i]
-        pred, _ = predict_pair(cache[f.correlate_a], cache[f.correlate_b], params)
-        total += mse_loss(pred.r_hat, f.r)
+    for i, r_hat in zip(indices, r_hats.tolist()):
+        total += mse_loss(r_hat, corpus.findings[i].r)
     return total / len(indices)
 
 
@@ -140,7 +139,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
     val_idx = [indices[i] for i in perm[:n_val]]
     fit_idx = [indices[i] for i in perm[n_val:]]
 
-    cache = SequenceCache(corpus, table)
+    seqs = embed_pairs(corpus, _finding_pairs(corpus, indices), table)
     params = init_params(table.dim, config.hidden_size, config.head_width, config.seed)
     state = AdamState.for_params(params)
     report = TrainReport()
@@ -157,15 +156,15 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
             grads = zero_grads(params)
             for i in batch:
                 f = corpus.findings[i]
-                pred, trace = predict_pair(cache[f.correlate_a], cache[f.correlate_b], params)
-                epoch_loss += mse_loss(pred.r_hat, f.r)
-                upstream = 2.0 * (pred.r_hat - f.r) / len(batch)
+                trace = predict_pair(seqs[f.correlate_a], seqs[f.correlate_b], params)
+                epoch_loss += mse_loss(trace.r_hat, f.r)
+                upstream = 2.0 * (trace.r_hat - f.r) / len(batch)
                 for k, g in backward(trace, upstream, params).items():
                     grads[k] += g
             adam_step(params, grads, state, config)
         params.assert_finite()
         train_loss = epoch_loss / len(fit_idx)
-        val_loss = _mean_loss(params, corpus, val_idx, cache) if val_idx else train_loss
+        val_loss = _mean_loss(params, corpus, val_idx, seqs) if val_idx else train_loss
         report.train_losses.append(train_loss)
         report.val_losses.append(val_loss)
         if val_loss < best_val:
@@ -187,12 +186,7 @@ def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable
     """Predict each listed finding and correlate predictions with reports."""
     if not indices:
         raise ValueError("no finding indices to evaluate")
-    cache = SequenceCache(corpus, table, oov)
-    pairs = []
-    for i in indices:
-        f = corpus.findings[i]
-        pred, _ = predict_pair(cache[f.correlate_a], cache[f.correlate_b], params)
-        pairs.append((f.r, pred.r_hat))
-    r_vals = [p[0] for p in pairs]
-    r_hats = [p[1] for p in pairs]
-    return {"pearson_r": pearson(r_vals, r_hats), "predictions": pairs}
+    pairs = _finding_pairs(corpus, indices)
+    r_hats = predict([params], embed_pairs(corpus, pairs, table, oov), pairs)[:, 0].tolist()
+    r_vals = [corpus.findings[i].r for i in indices]
+    return {"pearson_r": pearson(r_vals, r_hats), "predictions": list(zip(r_vals, r_hats))}

@@ -14,12 +14,12 @@ from corrnet.corpus import generate_synthetic, split_corpus, untested_fraction
 from corrnet.embeddings import random_table
 from corrnet.ensemble import qbc_search, summarize_predictions, train_ensemble
 from corrnet.infill import KIND_REPORTED, build_table
-from corrnet.neural import init_params, load_checkpoint, predict_pair
+from corrnet.neural import gradcheck, init_params, load_checkpoint, predict_pair
 from corrnet.stats import mann_whitney_u, pearson
 from corrnet.training import TrainConfig, evaluate, train
 
 from test_baseline import brute_force_predict
-from test_neural import finite_difference_grads, max_relative_error, random_seq
+from test_neural import random_seq
 from test_stats import brute_force_u
 from conftest import random_corpus
 
@@ -33,7 +33,6 @@ def report(num, name, ok, detail=""):
 
 
 def test_01_gradient_correctness():
-    from corrnet.neural import backward
     start = time.monotonic()
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -41,10 +40,7 @@ def test_01_gradient_correctness():
         params = init_params(4, 3, 2, seed=trial)
         a = random_seq(rng, 4, int(rng.integers(1, 6)))
         b = random_seq(rng, 4, int(rng.integers(1, 6)))
-        _, trace = predict_pair(a, b, params)
-        analytic = backward(trace, 1.0, params)
-        numeric = finite_difference_grads(params, a, b, eps=1e-5)
-        worst = max(worst, max_relative_error(analytic, numeric))
+        worst = max(worst, gradcheck(params, a, b))
     elapsed = time.monotonic() - start
     report(1, "gradient-correctness", worst < 1e-4 and elapsed < 30,
            f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -58,7 +54,7 @@ def test_02_symmetry():
         params = init_params(3, 2, 2, seed=trial)
         a = random_seq(rng, 3, int(rng.integers(1, 5)))
         b = random_seq(rng, 3, int(rng.integers(1, 5)))
-        if predict_pair(a, b, params)[0].r_hat != predict_pair(b, a, params)[0].r_hat:
+        if predict_pair(a, b, params).r_hat != predict_pair(b, a, params).r_hat:
             ok = False
             break
     corpus = random_corpus(rng, n_correlates=8, n_findings=25)
@@ -80,7 +76,7 @@ def test_03_range():
         for _ in range(100):
             a = random_seq(rng, 3, int(rng.integers(1, 4)))
             b = random_seq(rng, 3, int(rng.integers(1, 4)))
-            r_hat = predict_pair(a, b, params)[0].r_hat
+            r_hat = predict_pair(a, b, params).r_hat
             ok &= -1.0 <= r_hat <= 1.0
     report(3, "prediction-range", ok, "10000 draws")
 

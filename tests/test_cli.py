@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrnet.cli import main
+from corrnet.neural import init_params, save_checkpoint
 
 
 @pytest.fixture
@@ -136,3 +137,50 @@ def test_selftest(capsys):
     rc, out, _ = run(capsys, ["selftest"])
     assert rc == 0
     assert "gradient_check\tPASS" in out
+
+
+def test_eval_rejects_checkpoint_of_other_dimension(workdir, capsys):
+    tmp_path, corpus, emb = workdir
+    ckpt = str(tmp_path / "d5.npz")
+    save_checkpoint(init_params(5, 4, 3, seed=0), ckpt)
+    rc, _, err = run(capsys, ["eval", "--corpus", corpus, "--embeddings", emb,
+                              "--checkpoint", ckpt])
+    assert rc == 1
+    assert f"{ckpt}: model takes 5-dim vectors, the vector file has 8" in err
+
+
+@pytest.fixture
+def ens_dir(workdir, capsys):
+    tmp_path, corpus, emb = workdir
+    ens_dir = str(tmp_path / "ens")
+    rc, _, _ = run(capsys, ["ensemble-train", "--corpus", corpus, "--embeddings", emb,
+                            "--members", "2", "--out", ens_dir] + TRAIN_FLAGS)
+    assert rc == 0
+    return ens_dir
+
+
+def qbc(capsys, workdir, ens_dir):
+    tmp_path, corpus, emb = workdir
+    return run(capsys, ["qbc", "--corpus", corpus, "--embeddings", emb, "--ensemble", ens_dir,
+                        "--candidates", "20", "--out", str(tmp_path / "qbc.tsv")])
+
+
+def test_qbc_rejects_missing_manifest(workdir, ens_dir, capsys):
+    os.remove(os.path.join(ens_dir, "manifest.tsv"))
+    rc, _, err = qbc(capsys, workdir, ens_dir)
+    assert rc == 1
+    assert "manifest.tsv: ensemble manifest is missing" in err
+
+
+def test_qbc_rejects_manifest_member_count_mismatch(workdir, ens_dir, capsys):
+    save_checkpoint(init_params(8, 8, 4, seed=0), os.path.join(ens_dir, "member_002.npz"))
+    rc, _, err = qbc(capsys, workdir, ens_dir)
+    assert rc == 1
+    assert "manifest.tsv: 2 rows for 3 member checkpoints" in err
+
+
+def test_qbc_rejects_members_of_different_dims(workdir, ens_dir, capsys):
+    save_checkpoint(init_params(5, 8, 4, seed=0), os.path.join(ens_dir, "member_001.npz"))
+    rc, _, err = qbc(capsys, workdir, ens_dir)
+    assert rc == 1
+    assert "member_001.npz: dims (5, 8, 4) differ from" in err

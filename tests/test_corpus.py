@@ -167,8 +167,8 @@ class TestSynthetic:
         corpus, clean = generate_synthetic(15, 25, synth_vocab, noise_sd=0.0, seed=4)
         for f, r_clean in zip(corpus.findings, clean):
             assert f.r == r_clean
-            va = np.mean([synth_vocab.vectors[t] for t in corpus.tokens_of(f.correlate_a)], axis=0)
-            vb = np.mean([synth_vocab.vectors[t] for t in corpus.tokens_of(f.correlate_b)], axis=0)
+            va = np.mean([synth_vocab.vectors[t] for t in corpus.correlates[f.correlate_a].tokens], axis=0)
+            vb = np.mean([synth_vocab.vectors[t] for t in corpus.correlates[f.correlate_b].tokens], axis=0)
             cos = float(va @ vb) / float(np.linalg.norm(va) * np.linalg.norm(vb))
             assert f.r == pytest.approx(math.tanh(2.0 * cos), abs=1e-12)
 

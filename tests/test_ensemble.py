@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrnet.corpus import generate_synthetic, split_corpus
+from corrnet.embeddings import embed_sequence
 from corrnet.ensemble import (Ensemble, EnsembleEstimate, disagreement_trend,
                               ensemble_estimate, qbc_search,
                               sample_untested_pairs, summarize_predictions,
@@ -58,7 +59,7 @@ class TestEstimate:
         a = [rng.standard_normal(synth_vocab.dim) for _ in range(2)]
         b = [rng.standard_normal(synth_vocab.dim) for _ in range(3)]
         est = ensemble_estimate(ens, a, b)
-        preds = [predict_pair(a, b, p)[0].r_hat for p in members]
+        preds = [predict_pair(a, b, p).r_hat for p in members]
         assert est.mean == pytest.approx(np.mean(preds))
         assert est.disagreement == pytest.approx(np.std(preds, ddof=1))
         assert -1.0 <= est.mean <= 1.0
@@ -109,6 +110,17 @@ class TestQbcSearch:
         e2 = qbc_search(ens, corpus, synth_vocab, 50, seed=4)
         assert [(e.pair, e.mean, e.disagreement, e.flagged) for e in e1] == \
                [(e.pair, e.mean, e.disagreement, e.flagged) for e in e2]
+
+    def test_matches_swapped_ensemble_estimate(self, small_setup, synth_vocab):
+        corpus, split = small_setup
+        ens = train_ensemble(corpus, split, synth_vocab, FAST, 3)
+        for e in qbc_search(ens, corpus, synth_vocab, 30, seed=5):
+            a, b = e.pair
+            seq_a, seq_b = (embed_sequence(corpus.correlates[c].tokens, synth_vocab)
+                            for c in (a, b))
+            swapped = ensemble_estimate(ens, seq_b, seq_a, (b, a))
+            assert (swapped.mean, swapped.disagreement, swapped.ci_half_width) == \
+                   (e.mean, e.disagreement, e.ci_half_width)
 
     def test_all_pairs_tested_errors(self, synth_vocab):
         corpus, _ = generate_synthetic(4, 6, synth_vocab, seed=0)  # complete graph

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corrnet import neural
 from corrnet.corpus import Corpus, Correlate, Finding
 from corrnet.ensemble import Ensemble
 from corrnet.infill import (KIND_DIAGONAL, KIND_PREDICTED, KIND_REPORTED,
@@ -79,6 +80,17 @@ def test_ensemble_model(synth_vocab):
     ens = Ensemble(members, [0, 1], False)
     ct = build_table(two_paper_corpus(), ["pA", "pB"], ens, synth_vocab)
     assert ct.infill_fraction == pytest.approx(4 / 6)
+
+
+def test_encodes_each_correlate_once_per_member(synth_vocab, monkeypatch):
+    # Every one of the 4 correlates is in a predicted cell; 2 members.
+    calls = []
+    gru_forward = neural._gru_forward
+    monkeypatch.setattr(neural, "_gru_forward",
+                        lambda seq, w: calls.append(1) or gru_forward(seq, w))
+    members = [init_params(synth_vocab.dim, 4, 3, seed=k) for k in range(2)]
+    build_table(two_paper_corpus(), ["pA", "pB"], Ensemble(members, [0, 1], False), synth_vocab)
+    assert len(calls) == 4 * 2
 
 
 def test_unknown_paper(model, synth_vocab):

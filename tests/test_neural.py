@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrnet import neural
-from corrnet.neural import (ModelParams, backward, encode, init_params,
-                            load_checkpoint, predict_pair, save_checkpoint,
+from corrnet.neural import (ModelParams, backward, encode, gradcheck, init_params,
+                            load_checkpoint, predict, predict_pair, save_checkpoint,
                             zero_grads)
 
 
@@ -89,7 +91,7 @@ class TestPredictPair:
         rng = np.random.default_rng(1)
         p = init_params(4, 3, 2, seed=1)
         s = random_seq(rng, 4, 3)
-        _, trace = predict_pair(s, s, p)
+        trace = predict_pair(s, s, p)
         np.testing.assert_array_equal(trace.combined[3:], np.zeros(3))
 
     def test_symmetry_bit_identical(self):
@@ -98,7 +100,7 @@ class TestPredictPair:
             p = init_params(4, 3, 2, seed=trial)
             a = random_seq(rng, 4, int(rng.integers(1, 6)))
             b = random_seq(rng, 4, int(rng.integers(1, 6)))
-            assert predict_pair(a, b, p)[0].r_hat == predict_pair(b, a, p)[0].r_hat
+            assert predict_pair(a, b, p).r_hat == predict_pair(b, a, p).r_hat
 
     def test_range(self):
         rng = np.random.default_rng(5)
@@ -109,38 +111,52 @@ class TestPredictPair:
                 p.weights[name] *= 5.0
             a = random_seq(rng, 3, 2)
             b = random_seq(rng, 3, 2)
-            r_hat = predict_pair(a, b, p)[0].r_hat
+            r_hat = predict_pair(a, b, p).r_hat
             assert -1.0 <= r_hat <= 1.0
 
 
-def finite_difference_grads(params, seq_a, seq_b, eps=1e-5):
-    grads = zero_grads(params)
-    for name, w in params.weights.items():
-        for idx in np.ndindex(w.shape):
-            orig = w[idx]
-            w[idx] = orig + eps
-            up = predict_pair(seq_a, seq_b, params)[0].r_hat
-            w[idx] = orig - eps
-            down = predict_pair(seq_a, seq_b, params)[0].r_hat
-            w[idx] = orig
-            grads[name][idx] = (up - down) / (2 * eps)
-    return grads
+class TestPredict:
+    def test_equals_predict_pair_bitwise(self):
+        rng = np.random.default_rng(6)
+        models = [init_params(4, 3, 2, seed=k) for k in range(3)]
+        seqs = [random_seq(rng, 4, int(rng.integers(1, 6))) for _ in range(6)]
+        pairs = [(a, b) for a in range(6) for b in range(6) if a != b]
+        got = predict(models, seqs, pairs)
+        assert got.shape == (len(pairs), len(models))
+        for row, (a, b) in zip(got, pairs):
+            for value, p in zip(row, models):
+                assert value == predict_pair(seqs[a], seqs[b], p).r_hat
+                assert value == predict_pair(seqs[b], seqs[a], p).r_hat
 
+    def test_pair_score_independent_of_batch(self):
+        rng = np.random.default_rng(7)
+        p = init_params(4, 3, 2, seed=7)
+        seqs = [random_seq(rng, 4, int(rng.integers(1, 6))) for _ in range(40)]
+        pairs = [tuple(int(c) for c in rng.choice(40, size=2, replace=False))
+                 for _ in range(200)]
+        batch = predict([p], seqs, pairs)
+        for k in (0, 57, 199):
+            assert predict([p], seqs, [pairs[k]])[0, 0] == batch[k, 0]
 
-def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for name in analytic:
-        a, n = analytic[name], numeric[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), len_a=st.integers(1, 6),
+           len_b=st.integers(1, 6), scale=st.floats(0.1, 20.0))
+    def test_symmetric_and_in_range(self, seed, len_a, len_b, scale):
+        rng = np.random.default_rng(seed)
+        p = init_params(3, 4, 2, seed=seed)
+        for w in p.weights.values():
+            w *= scale
+        seqs = [random_seq(rng, 3, len_a), random_seq(rng, 3, len_b)]
+        (ab,), (ba,) = predict([p], seqs, [(0, 1), (1, 0)])
+        assert ab == ba
+        assert -1.0 <= ab <= 1.0
 
 
 class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(0)
         p = init_params(4, 3, 2, seed=9)
-        _, trace = predict_pair(random_seq(rng, 4, 2), random_seq(rng, 4, 3), p)
+        trace = predict_pair(random_seq(rng, 4, 2), random_seq(rng, 4, 3), p)
         grads = backward(trace, 0.0, p)
         assert all(not g.any() for g in grads.values())
 
@@ -150,10 +166,7 @@ class TestBackward:
             p = init_params(4, 3, 2, seed=100 + trial)
             a = random_seq(rng, 4, int(rng.integers(1, 6)))
             b = random_seq(rng, 4, int(rng.integers(1, 6)))
-            _, trace = predict_pair(a, b, p)
-            analytic = backward(trace, 1.0, p)
-            numeric = finite_difference_grads(p, a, b)
-            assert max_relative_error(analytic, numeric) < 1e-4
+            assert gradcheck(p, a, b) < 1e-4
 
     def test_shared_encoder_grads_decompose(self):
         # Encoder gradient of the pair equals the sum of each pass's
@@ -162,7 +175,7 @@ class TestBackward:
         p = init_params(4, 3, 2, seed=21)
         a = random_seq(rng, 4, 3)
         b = random_seq(rng, 4, 2)
-        _, trace = predict_pair(a, b, p)
+        trace = predict_pair(a, b, p)
         full = backward(trace, 1.0, p)
 
         w = p.weights
@@ -190,6 +203,25 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(q.weights) == set(p.weights)
     for name in p.weights:
         np.testing.assert_array_equal(p.weights[name], q.weights[name])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda w: w.update(__format_version=np.array([2])), "unsupported checkpoint version"),
+    (lambda w: w.pop("__dims"), "not a corrnet checkpoint"),
+    (lambda w: w.pop("u_c"), r"missing parameters \['u_c'\]"),
+    (lambda w: w.update(extra=np.zeros(3)), r"unexpected \['extra'\]"),
+    (lambda w: w.update(head_w1=np.zeros((3, 7))), "head_w1 has shape"),
+    (lambda w: w.update(__dims=np.array([4, 4, 3])), "w_z has shape"),
+])
+def test_checkpoint_mismatch_names_file(tmp_path, corrupt, message):
+    p = init_params(5, 4, 3, seed=13)
+    stored = {"__format_version": np.array([1]), "__dims": np.array([5, 4, 3]), **p.weights}
+    corrupt(stored)
+    path = tmp_path / "bad.npz"
+    np.savez(path, **stored)
+    with pytest.raises(ValueError, match=message) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
 
 
 def test_assert_finite():
