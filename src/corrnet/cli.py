@@ -8,7 +8,6 @@ lines, located via --config or the CORRNET_CONFIG environment variable)
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -21,22 +20,11 @@ from . import infill as infill_mod
 from . import neural, training
 from .embeddings import load_embeddings, random_table
 
-DEFAULTS = {
-    "train_fraction": 0.8,
-    "seed": 0,
-    "epochs": 100,
-    "learning_rate": 1e-3,
-    "grad_clip": 5.0,
-    "batch_size": 32,
-    "patience": 10,
-    "hidden_size": 64,
-    "head_width": 32,
-    "members": 50,
-    "candidates": 5000,
-    "top": 0.01,
-    "noise": 0.05,
-    "jobs": 1,
-}
+# The keys a config file may set, each read with its flag's type.
+FILE_KEYS = {"train_fraction": float, "seed": int, "epochs": int, "learning_rate": float,
+             "grad_clip": float, "batch_size": int, "patience": int, "hidden_size": int,
+             "head_width": int, "members": int, "candidates": int, "top": float,
+             "noise": float, "jobs": int}
 
 
 def load_config_file(path) -> dict:
@@ -48,38 +36,27 @@ def load_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
+            key, _, raw = (part.strip() for part in line.partition("="))
+            if key not in FILE_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key] = FILE_KEYS[key](raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key}: invalid "
+                                 f"{FILE_KEYS[key].__name__} value {raw!r}") from None
     return values
-
-
-def resolve(args, key, cast=float):
-    """defaults < config file < flags."""
-    flag_val = getattr(args, key.replace("-", "_"), None)
-    if flag_val is not None:
-        return flag_val
-    if key in args._file_config:
-        return cast(args._file_config[key])
-    return DEFAULTS[key]
 
 
 def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(
-        epochs=int(resolve(args, "epochs", int)),
-        learning_rate=float(resolve(args, "learning_rate", float)),
-        grad_clip=float(resolve(args, "grad_clip", float)),
-        batch_size=int(resolve(args, "batch_size", int)),
-        early_stop_patience=int(resolve(args, "patience", int)),
-        seed=int(resolve(args, "seed", int)),
-        hidden_size=int(resolve(args, "hidden_size", int)),
-        head_width=int(resolve(args, "head_width", int)),
-    )
+        epochs=args.epochs, learning_rate=args.learning_rate, grad_clip=args.grad_clip,
+        batch_size=args.batch_size, early_stop_patience=args.patience, seed=args.seed,
+        hidden_size=args.hidden_size, head_width=args.head_width)
 
 
 def _load_split(args):
     corpus = corpus_mod.load_corpus(args.corpus)
-    split = corpus_mod.split_corpus(corpus, float(resolve(args, "train_fraction", float)),
-                                    int(resolve(args, "seed", int)))
+    split = corpus_mod.split_corpus(corpus, args.train_fraction, args.seed)
     return corpus, split
 
 
@@ -99,14 +76,12 @@ def cmd_corpus(args) -> int:
         print("untested_fraction\t%.6f" % stats["untested_fraction"])
         return 0
     # gen
-    seed = int(resolve(args, "seed", int))
     if args.embeddings:
         vocab = load_embeddings(args.embeddings)
     else:
-        vocab = random_table(100, 16, seed)
+        vocab = random_table(100, 16, args.seed)
     corpus, _ = corpus_mod.generate_synthetic(
-        args.correlates, args.findings, vocab,
-        noise_sd=float(resolve(args, "noise", float)), seed=seed)
+        args.correlates, args.findings, vocab, noise_sd=args.noise, seed=args.seed)
     corpus_mod.save_corpus(corpus, args.out)
     print(f"wrote {corpus.n_findings} findings over {corpus.n_correlates} correlates to {args.out}")
     return 0
@@ -146,47 +121,14 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _save_ensemble(ens: ensemble_mod.Ensemble, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    for k, params in enumerate(ens.members):
-        neural.save_checkpoint(params, os.path.join(dirpath, "member_%03d.npz" % k))
-    with open(os.path.join(dirpath, "manifest.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("member\tseed\tbagging\n")
-        for k, seed in enumerate(ens.member_seeds):
-            fh.write("%d\t%d\t%d\n" % (k, seed, int(ens.bagging)))
-
-
-def _load_ensemble(dirpath) -> ensemble_mod.Ensemble:
-    manifest = os.path.join(dirpath, "manifest.tsv")
-    if not os.path.isfile(manifest):
-        raise ValueError(f"{manifest}: ensemble manifest is missing")
-    with open(manifest, encoding="utf-8") as fh:
-        rows = [r.split("\t") for r in fh.read().splitlines()[1:]]
-    paths = sorted(os.path.join(dirpath, p) for p in os.listdir(dirpath) if p.endswith(".npz"))
-    if len(rows) != len(paths):
-        raise ValueError(f"{manifest}: {len(rows)} rows for {len(paths)} member checkpoints")
-    try:
-        seeds = [int(r[1]) for r in rows]
-        bagging = bool(int(rows[0][2]))
-    except (IndexError, ValueError):
-        raise ValueError(f"{manifest}: expected rows of member, seed, bagging") from None
-    members = [neural.load_checkpoint(p) for p in paths]
-    dims = [(p.d, p.h, p.m) for p in members]
-    for path, member_dims in zip(paths, dims):
-        if member_dims != dims[0]:
-            raise ValueError(f"{path}: dims {member_dims} differ from {paths[0]}'s {dims[0]}")
-    return ensemble_mod.Ensemble(members, seeds, bagging)
-
-
-def _load_model(path, table, kind=(neural.ModelParams, ensemble_mod.Ensemble)):
-    """A model file or an ensemble directory, of the type the command needs,
-    whose input dimension is the vector file's."""
-    model = _load_ensemble(path) if os.path.isdir(path) else neural.load_checkpoint(path)
+def _load_model(path, table, kind=(neural.ModelParams, neural.Ensemble)):
+    """A model or ensemble file, of the kind the command needs, whose input
+    dimension is the vector file's."""
+    model = neural.load_checkpoint(path)
     if not isinstance(model, kind):
         raise ValueError(f"{path}: this command needs "
-                         + ("an ensemble directory" if kind is ensemble_mod.Ensemble
-                            else "a single model file"))
-    d = (model.members[0] if isinstance(model, ensemble_mod.Ensemble) else model).d
+                         + ("an ensemble" if kind is neural.Ensemble else "a single model"))
+    d = (model.members[0] if isinstance(model, neural.Ensemble) else model).d
     if d != table.dim:
         raise ValueError(f"{path}: model takes {d}-dim vectors, the vector file has {table.dim}")
     return model
@@ -195,23 +137,18 @@ def _load_model(path, table, kind=(neural.ModelParams, ensemble_mod.Ensemble)):
 def cmd_ensemble_train(args) -> int:
     corpus, split = _load_split(args)
     table = load_embeddings(args.embeddings)
-    n = int(resolve(args, "members", int))
-    ens = ensemble_mod.train_ensemble(corpus, split, table, _train_config(args), n,
-                                      bagging=not args.no_bagging,
-                                      jobs=int(resolve(args, "jobs", int)))
-    _save_ensemble(ens, args.out)
-    print(f"wrote {n} member checkpoints to {args.out}")
+    ens = ensemble_mod.train_ensemble(corpus, split, table, _train_config(args), args.members,
+                                      bagging=not args.no_bagging, jobs=args.jobs)
+    neural.save_checkpoint(ens, args.out)
+    print(f"wrote a {args.members}-member ensemble to {args.out}")
     return 0
 
 
 def cmd_qbc(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus)
     table = load_embeddings(args.embeddings)
-    ens = _load_model(args.ensemble, table, ensemble_mod.Ensemble)
-    seed = int(resolve(args, "seed", int))
-    estimates = ensemble_mod.qbc_search(
-        ens, corpus, table, int(resolve(args, "candidates", int)), seed,
-        float(resolve(args, "top", float)))
+    ens = _load_model(args.ensemble, table, neural.Ensemble)
+    estimates = ensemble_mod.qbc_search(ens, corpus, table, args.candidates, args.seed, args.top)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("correlate_a_text\tcorrelate_b_text\tmean\tdisagreement\tci_half_width\tflagged\n")
         for e in estimates:
@@ -269,88 +206,93 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(file_config=None) -> argparse.ArgumentParser:
+    """The command-line parser; file_config's values replace the defaults of
+    every command that has those flags."""
     parser = argparse.ArgumentParser(prog="corrnet",
                                      description="Predict correlations from correlate descriptions.")
     parser.add_argument("--config", help="flat key = value config file")
     sub = parser.add_subparsers(dest="command")
+    commands = []
+    defaults = training.TrainConfig()
+
+    def command(subparsers, name, func, summary):
+        p = subparsers.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        commands.append(p)
+        return p
 
     def common(p, embeddings=True):
         p.add_argument("--corpus", required=True)
         if embeddings:
             p.add_argument("--embeddings", required=True)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--train-fraction", type=float, dest="train_fraction")
+        p.add_argument("--seed", type=int, default=defaults.seed)
+        p.add_argument("--train-fraction", type=float, dest="train_fraction", default=0.8)
 
     def train_flags(p):
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--learning-rate", type=float, dest="learning_rate")
-        p.add_argument("--grad-clip", type=float, dest="grad_clip")
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--patience", type=int)
-        p.add_argument("--hidden-size", type=int, dest="hidden_size")
-        p.add_argument("--head-width", type=int, dest="head_width")
+        p.add_argument("--epochs", type=int, default=defaults.epochs)
+        p.add_argument("--learning-rate", type=float, dest="learning_rate",
+                       default=defaults.learning_rate)
+        p.add_argument("--grad-clip", type=float, dest="grad_clip", default=defaults.grad_clip)
+        p.add_argument("--batch-size", type=int, dest="batch_size", default=defaults.batch_size)
+        p.add_argument("--patience", type=int, default=defaults.early_stop_patience)
+        p.add_argument("--hidden-size", type=int, dest="hidden_size", default=defaults.hidden_size)
+        p.add_argument("--head-width", type=int, dest="head_width", default=defaults.head_width)
 
     p = sub.add_parser("corpus", help="corpus utilities")
     csub = p.add_subparsers(dest="corpus_cmd", required=True)
-    ps = csub.add_parser("stats", help="print corpus summary statistics")
-    ps.add_argument("file")
-    pg = csub.add_parser("gen", help="generate a synthetic corpus")
-    pg.add_argument("--correlates", type=int, required=True)
-    pg.add_argument("--findings", type=int, required=True)
-    pg.add_argument("--seed", type=int)
-    pg.add_argument("--noise", type=float)
-    pg.add_argument("--embeddings")
-    pg.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_corpus)
+    p = command(csub, "stats", cmd_corpus, "print corpus summary statistics")
+    p.add_argument("file")
+    p = command(csub, "gen", cmd_corpus, "generate a synthetic corpus")
+    p.add_argument("--correlates", type=int, required=True)
+    p.add_argument("--findings", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=float, default=0.05)
+    p.add_argument("--embeddings")
+    p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train one model")
+    p = command(sub, "train", cmd_train, "train one model")
     common(p)
     train_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--log")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
+    p = command(sub, "eval", cmd_eval, "evaluate a checkpoint on the test split")
     common(p)
     p.add_argument("--checkpoint", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline", help="mean-value baseline on the test split")
+    p = command(sub, "baseline", cmd_baseline, "mean-value baseline on the test split")
     common(p, embeddings=False)
     p.add_argument("--mode", choices=["pool", "average"], default="pool")
-    p.set_defaults(func=cmd_baseline)
 
-    p = sub.add_parser("ensemble-train", help="train an ensemble of models")
+    p = command(sub, "ensemble-train", cmd_ensemble_train, "train an ensemble of models")
     common(p)
     train_flags(p)
-    p.add_argument("--members", type=int)
+    p.add_argument("--members", type=int, default=50)
     p.add_argument("--no-bagging", action="store_true")
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ensemble_train)
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--out", required=True, help="ensemble checkpoint file")
 
-    p = sub.add_parser("qbc", help="query-by-committee search over untested pairs")
+    p = command(sub, "qbc", cmd_qbc, "query-by-committee search over untested pairs")
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--ensemble", required=True, help="ensemble checkpoint directory")
-    p.add_argument("--candidates", type=int)
-    p.add_argument("--top", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--ensemble", required=True, help="ensemble checkpoint file")
+    p.add_argument("--candidates", type=int, default=5000)
+    p.add_argument("--top", type=float, default=0.01)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--scatter")
-    p.set_defaults(func=cmd_qbc)
 
-    p = sub.add_parser("infill", help="build and export an infilled correlation table")
+    p = command(sub, "infill", cmd_infill, "build and export an infilled correlation table")
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--checkpoint", required=True, help="model file or ensemble directory")
+    p.add_argument("--checkpoint", required=True, help="model or ensemble checkpoint file")
     p.add_argument("--papers", required=True, help="comma-separated paper ids")
     p.add_argument("--out", required=True, help="output file prefix")
-    p.set_defaults(func=cmd_infill)
 
-    p = sub.add_parser("selftest", help="run gradient checks and statistic oracles")
-    p.set_defaults(func=cmd_selftest)
+    command(sub, "selftest", cmd_selftest, "run gradient checks and statistic oracles")
+    for p in commands:  # last: add_argument's default= overrides an earlier set_defaults
+        p.set_defaults(**(file_config or {}))
     return parser
 
 
@@ -360,9 +302,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    config_path = args.config or os.environ.get("CORRNET_CONFIG")
-    args._file_config = load_config_file(config_path) if config_path else {}
     try:
+        config_path = args.config or os.environ.get("CORRNET_CONFIG")
+        if config_path:
+            args = build_parser(load_config_file(config_path)).parse_args(argv)
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,6 +183,10 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
     """
     if len(vocab.vectors) == 0:
         raise ValueError("vocabulary is empty")
+    n_phrases = sum(len(vocab.vectors) ** k for k in range(3, 9))
+    if n_correlates > n_phrases:
+        raise ValueError(f"n_correlates = {n_correlates} exceeds the {n_phrases} distinct "
+                         "3-8 token phrases the vocabulary can form")
     max_pairs = n_correlates * (n_correlates - 1) // 2
     if n_findings > max_pairs:
         raise ValueError(f"n_findings = {n_findings} exceeds the {max_pairs} available pairs")

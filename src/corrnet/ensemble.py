@@ -10,20 +10,9 @@ import numpy as np
 
 from .corpus import Corpus, Split, _pair_key
 from .embeddings import EmbeddingTable, OovPolicy
-from .neural import ModelParams, predict
+from .neural import Ensemble, predict
 from .stats import MwuResult, mann_whitney_u, pearson, quartiles
 from .training import TrainConfig, embed_pairs, train
-
-
-@dataclass
-class Ensemble:
-    members: list[ModelParams]
-    member_seeds: list[int]
-    bagging: bool
-
-    def __post_init__(self):
-        if len(self.members) < 2:
-            raise ValueError("an ensemble needs at least 2 members")
 
 
 @dataclass
@@ -61,12 +50,11 @@ def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
     elif len(member_seeds) != n_members:
         raise ValueError("need one seed per member")
     work = [(corpus, split, table, config, seed, bagging) for seed in member_seeds]
-    members: list[ModelParams] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for k, params in enumerate(pool.map(_train_member, work)):
-                members.append(params)
+            members = list(pool.map(_train_member, work))
     else:
+        members = []
         for k, w in enumerate(work):
             try:
                 members.append(_train_member(w))

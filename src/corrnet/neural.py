@@ -40,6 +40,17 @@ class ModelParams:
                 raise FloatingPointError(f"non-finite values in parameter {name}")
 
 
+@dataclass
+class Ensemble:
+    members: list[ModelParams]
+    member_seeds: list[int]
+    bagging: bool
+
+    def __post_init__(self):
+        if len(self.members) < 2:
+            raise ValueError("an ensemble needs at least 2 members")
+
+
 def _shapes(d: int, h: int, m: int) -> dict[str, tuple[int, ...]]:
     """Every parameter's shape: the matrices, then the biases, in spec order."""
     sizes = {"d": d, "h": h, "m": m, "two_h": 2 * h, "one": 1}
@@ -209,17 +220,25 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
     return grads
 
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Exact (bit-preserving) serialization of dims and all matrices."""
-    np.savez(path,
-             __format_version=np.array([1]),
-             __dims=np.array([params.d, params.h, params.m]),
-             **params.weights)
+def save_checkpoint(model: ModelParams | Ensemble, path) -> None:
+    """Exact (bit-preserving) serialization of dims and all matrices, written
+    to exactly path. An ensemble stacks every weight on a leading member axis
+    and adds its member seeds and bagging flag."""
+    if isinstance(model, Ensemble):
+        first = model.members[0]
+        arrays = {k: np.stack([p.weights[k] for p in model.members]) for k in first.weights}
+        arrays.update(__seeds=np.array(model.member_seeds), __bagging=np.array(model.bagging))
+    else:
+        first, arrays = model, model.weights
+    with open(path, "wb") as fh:
+        np.savez(fh, __format_version=np.array([1]),
+                 __dims=np.array([first.d, first.h, first.m]), **arrays)
 
 
-def load_checkpoint(path) -> ModelParams:
+def load_checkpoint(path) -> ModelParams | Ensemble:
     """Load a save_checkpoint file, checking its format version, its
-    parameter names and every shape against its stored dims."""
+    parameter names and every shape against its stored dims and, for an
+    ensemble, its member count."""
     with np.load(path) as data:
         stored = {k: data[k] for k in data.files}
     version = stored.pop("__format_version", None)
@@ -231,15 +250,28 @@ def load_checkpoint(path) -> ModelParams:
     if dims.shape != (3,) or dims.min() < 1:
         raise ValueError(f"{path}: malformed dims {dims.tolist()}")
     d, h, m = (int(v) for v in dims)
+    seeds = stored.pop("__seeds", None)
+    if seeds is not None:
+        bagging = stored.pop("__bagging", None)
+        if (seeds.ndim != 1 or len(seeds) < 2 or seeds.dtype.kind not in "iu"
+                or bagging is None or bagging.shape != ()):
+            raise ValueError(f"{path}: an ensemble needs at least 2 integer seeds "
+                             "and a bagging flag")
+    lead = () if seeds is None else seeds.shape
     shapes = _shapes(d, h, m)  # computed, not allocated: the dims are untrusted
     if stored.keys() != shapes.keys():
         raise ValueError(f"{path}: missing parameters {sorted(shapes.keys() - stored.keys())}, "
                          f"unexpected {sorted(stored.keys() - shapes.keys())}")
     for name, shape in shapes.items():
-        if stored[name].shape != shape:
-            raise ValueError(f"{path}: {name} has shape {stored[name].shape}, "
-                             f"expected {shape} for d={d}, h={h}, m={m}")
-    return ModelParams(d, h, m, {k: v.astype(np.float64) for k, v in stored.items()})
+        if stored[name].shape != lead + shape:
+            raise ValueError(f"{path}: {name} has shape {stored[name].shape}, expected "
+                             f"{lead + shape} for d={d}, h={h}, m={m}"
+                             + (f" and {lead[0]} member seeds" if lead else ""))
+    weights = {k: v.astype(np.float64) for k, v in stored.items()}
+    if seeds is None:
+        return ModelParams(d, h, m, weights)
+    return Ensemble([ModelParams(d, h, m, {k: v[i] for k, v in weights.items()})
+                     for i in range(len(seeds))], seeds.tolist(), bool(bagging))
 
 
 def gradcheck(params: ModelParams, seq_a, seq_b) -> float:

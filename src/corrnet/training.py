@@ -49,7 +49,6 @@ class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    test_pearson_r: float | None = None
 
 
 @dataclass

@@ -90,8 +90,7 @@ def test_ensemble_qbc_infill(workdir, capsys):
     rc, _, _ = run(capsys, ["ensemble-train", "--corpus", corpus, "--embeddings", emb,
                             "--members", "2", "--out", ens_dir] + TRAIN_FLAGS)
     assert rc == 0
-    assert os.path.exists(os.path.join(ens_dir, "member_000.npz"))
-    assert os.path.exists(os.path.join(ens_dir, "manifest.tsv"))
+    assert os.path.isfile(ens_dir)
 
     report = str(tmp_path / "qbc.tsv")
     scatter = str(tmp_path / "scatter.tsv")
@@ -124,13 +123,58 @@ def test_ensemble_qbc_infill(workdir, capsys):
 def test_config_file_precedence(workdir, capsys):
     tmp_path, corpus, emb = workdir
     cfg = tmp_path / "corrnet.cfg"
-    cfg.write_text("epochs = 2\nhidden_size = 8\nhead_width = 4\nseed = 9\n")
+    cfg.write_text("epochs = 2\nhidden_size = 8\nhead_width = 4\nseed = 9\nnoise = 0.2\n")
+    from corrnet.neural import load_checkpoint
+    for flags, h in (([], 8), (["--hidden-size", "6"], 6)):
+        ckpt = str(tmp_path / "m.npz")
+        rc, _, _ = run(capsys, ["--config", str(cfg), "train", "--corpus", corpus,
+                                "--embeddings", emb, "--out", ckpt] + flags)
+        assert rc == 0
+        assert load_checkpoint(ckpt).h == h
+
+    # corpus gen sits under the nested corpus parser
+    gen = ["corpus", "gen", "--correlates", "10", "--findings", "12", "--embeddings", emb]
+    outputs = {}
+    for name, argv in (("file", ["--config", str(cfg)] + gen),
+                       ("flags", gen + ["--seed", "9", "--noise", "0.2"]),
+                       ("file+flag", ["--config", str(cfg)] + gen + ["--seed", "4"]),
+                       ("flags4", gen + ["--seed", "4", "--noise", "0.2"])):
+        out = tmp_path / f"{name}.tsv"
+        assert run(capsys, argv + ["--out", str(out)])[0] == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["file"] == outputs["flags"]
+    assert outputs["file+flag"] == outputs["flags4"] != outputs["file"]
+
+
+def test_config_from_environment(workdir, capsys, monkeypatch):
+    tmp_path, corpus, emb = workdir
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("epochs = 1\nhidden_size = 5\nhead_width = 4\n")
+    monkeypatch.setenv("CORRNET_CONFIG", str(cfg))
     ckpt = str(tmp_path / "m.npz")
-    rc, _, _ = run(capsys, ["--config", str(cfg), "train", "--corpus", corpus,
-                            "--embeddings", emb, "--out", ckpt])
+    rc, _, _ = run(capsys, ["train", "--corpus", corpus, "--embeddings", emb, "--out", ckpt])
     assert rc == 0
     from corrnet.neural import load_checkpoint
-    assert load_checkpoint(ckpt).h == 8
+    assert load_checkpoint(ckpt).h == 5
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "No such file or directory"),
+    ("seed 3\n", ":1: expected 'key = value'"),
+    ("seed = 3\nepoch = 1\n", ":2: unknown key 'epoch'"),
+    ("mode = average\n", ":1: unknown key 'mode'"),
+    ("log = train.tsv\n", ":1: unknown key 'log'"),
+    ("# comment\nepochs = abc\n", ":2: epochs: invalid int value 'abc'"),
+])
+def test_config_file_errors_name_the_file(workdir, capsys, text, message):
+    tmp_path, corpus, _ = workdir
+    cfg = tmp_path / "bad.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    rc, _, err = run(capsys, ["--config", str(cfg), "baseline", "--corpus", corpus])
+    assert rc == 1
+    assert err.startswith("error: ") and str(cfg) in err
+    assert message in err
 
 
 def test_selftest(capsys):
@@ -150,37 +194,43 @@ def test_eval_rejects_checkpoint_of_other_dimension(workdir, capsys):
 
 
 @pytest.fixture
-def ens_dir(workdir, capsys):
+def ens_file(workdir, capsys):
     tmp_path, corpus, emb = workdir
-    ens_dir = str(tmp_path / "ens")
+    ens_file = str(tmp_path / "ens")
     rc, _, _ = run(capsys, ["ensemble-train", "--corpus", corpus, "--embeddings", emb,
-                            "--members", "2", "--out", ens_dir] + TRAIN_FLAGS)
+                            "--members", "2", "--out", ens_file] + TRAIN_FLAGS)
     assert rc == 0
-    return ens_dir
+    return ens_file
 
 
-def qbc(capsys, workdir, ens_dir):
+def qbc(capsys, workdir, ens_file):
     tmp_path, corpus, emb = workdir
-    return run(capsys, ["qbc", "--corpus", corpus, "--embeddings", emb, "--ensemble", ens_dir,
+    return run(capsys, ["qbc", "--corpus", corpus, "--embeddings", emb, "--ensemble", ens_file,
                         "--candidates", "20", "--out", str(tmp_path / "qbc.tsv")])
 
 
-def test_qbc_rejects_missing_manifest(workdir, ens_dir, capsys):
-    os.remove(os.path.join(ens_dir, "manifest.tsv"))
-    rc, _, err = qbc(capsys, workdir, ens_dir)
+def test_qbc_rejects_seed_count_mismatch(workdir, ens_file, capsys):
+    with np.load(ens_file) as data:
+        stored = {k: data[k] for k in data.files}
+    stored["__seeds"] = np.array([1, 2, 3])
+    with open(ens_file, "wb") as fh:
+        np.savez(fh, **stored)
+    rc, _, err = qbc(capsys, workdir, ens_file)
     assert rc == 1
-    assert "manifest.tsv: ensemble manifest is missing" in err
+    assert f"{ens_file}: w_z has shape (2, 8, 8), expected (3, 8, 8)" in err
 
 
-def test_qbc_rejects_manifest_member_count_mismatch(workdir, ens_dir, capsys):
-    save_checkpoint(init_params(8, 8, 4, seed=0), os.path.join(ens_dir, "member_002.npz"))
-    rc, _, err = qbc(capsys, workdir, ens_dir)
+def test_qbc_rejects_model_file(workdir, capsys):
+    ckpt = str(workdir[0] / "model.npz")
+    save_checkpoint(init_params(8, 8, 4, seed=0), ckpt)
+    rc, _, err = qbc(capsys, workdir, ckpt)
     assert rc == 1
-    assert "manifest.tsv: 2 rows for 3 member checkpoints" in err
+    assert f"{ckpt}: this command needs an ensemble" in err
 
 
-def test_qbc_rejects_members_of_different_dims(workdir, ens_dir, capsys):
-    save_checkpoint(init_params(5, 8, 4, seed=0), os.path.join(ens_dir, "member_001.npz"))
-    rc, _, err = qbc(capsys, workdir, ens_dir)
+def test_eval_rejects_ensemble_file(workdir, ens_file, capsys):
+    _, corpus, emb = workdir
+    rc, _, err = run(capsys, ["eval", "--corpus", corpus, "--embeddings", emb,
+                              "--checkpoint", ens_file])
     assert rc == 1
-    assert "member_001.npz: dims (5, 8, 4) differ from" in err
+    assert f"{ens_file}: this command needs a single model" in err

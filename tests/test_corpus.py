@@ -6,6 +6,7 @@ import pytest
 from corrnet.corpus import (CorpusError, corpus_stats, generate_synthetic,
                             load_corpus, save_corpus, split_corpus,
                             untested_fraction)
+from corrnet.embeddings import random_table
 
 
 def write(tmp_path, lines):
@@ -179,6 +180,12 @@ class TestSynthetic:
     def test_too_many_findings(self, synth_vocab):
         with pytest.raises(ValueError, match="available pairs"):
             generate_synthetic(4, 7, synth_vocab, seed=0)
+
+    def test_more_correlates_than_phrases(self):
+        one_token = random_table(1, 4, seed=0)  # forms 6 phrases: 3 to 8 repeats
+        generate_synthetic(6, 5, one_token, seed=0)
+        with pytest.raises(ValueError, match="n_correlates = 7 exceeds the 6 distinct"):
+            generate_synthetic(7, 5, one_token, seed=0)
 
     def test_pairs_distinct(self, synth_vocab):
         corpus, _ = generate_synthetic(6, 15, synth_vocab, seed=0)  # all pairs used

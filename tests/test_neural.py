@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrnet import neural
-from corrnet.neural import (ModelParams, backward, encode, gradcheck, init_params,
+from corrnet.neural import (Ensemble, ModelParams, backward, encode, gradcheck, init_params,
                             load_checkpoint, predict, predict_pair, save_checkpoint,
                             zero_grads)
 
@@ -203,6 +205,60 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(q.weights) == set(p.weights)
     for name in p.weights:
         np.testing.assert_array_equal(p.weights[name], q.weights[name])
+
+
+def round_trip(model):
+    """Save to a suffix-less path and load; the file is written exactly there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt")
+        save_checkpoint(model, path)
+        assert os.listdir(tmp) == ["ckpt"]
+        return load_checkpoint(path)
+
+
+def assert_same_weights(p, q):
+    assert (q.d, q.h, q.m) == (p.d, p.h, p.m)
+    assert q.weights.keys() == p.weights.keys()
+    for name, w in p.weights.items():
+        assert q.weights[name].dtype == np.float64
+        np.testing.assert_array_equal(q.weights[name], w)
+
+
+dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+def random_params(dims, seed):
+    """init_params' shapes with every weight, biases too, drawn at random."""
+    p, rng = init_params(*dims), np.random.default_rng(seed)
+    for w in p.weights.values():
+        w[...] = rng.standard_normal(w.shape)
+    return p
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=dims, seed=st.integers(0, 2**32 - 1))
+def test_model_checkpoint_round_trip_property(dims, seed):
+    p = random_params(dims, seed)
+    q = round_trip(p)
+    assert isinstance(q, ModelParams)
+    assert_same_weights(p, q)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dims=dims, seeds=st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=4),
+       bagging=st.booleans())
+def test_ensemble_checkpoint_round_trip_property(dims, seeds, bagging):
+    ens = Ensemble([random_params(dims, s) for s in seeds], seeds, bagging)
+    loaded = round_trip(ens)
+    assert isinstance(loaded, Ensemble)
+    assert (loaded.member_seeds, loaded.bagging) == (seeds, bagging)
+    for p, q in zip(ens.members, loaded.members, strict=True):
+        assert_same_weights(p, q)
+    rng = np.random.default_rng(seeds[0])
+    seqs = [random_seq(rng, dims[0], int(rng.integers(1, 4))) for _ in range(3)]
+    pairs = [(0, 1), (1, 2), (2, 0)]
+    np.testing.assert_array_equal(predict(loaded.members, seqs, pairs),
+                                  predict(ens.members, seqs, pairs))
 
 
 @pytest.mark.parametrize("corrupt, message", [
