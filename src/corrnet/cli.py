@@ -145,6 +145,9 @@ def cmd_ensemble_train(args) -> int:
 
 
 def cmd_qbc(args) -> int:
+    if args.candidates < ensemble_mod.MIN_TREND_ESTIMATES:
+        raise ValueError(f"--candidates must be at least {ensemble_mod.MIN_TREND_ESTIMATES} "
+                         f"for the disagreement trend, got {args.candidates}")
     corpus = corpus_mod.load_corpus(args.corpus)
     table = load_embeddings(args.embeddings)
     ens = _load_model(args.ensemble, table, neural.Ensemble)

@@ -44,7 +44,9 @@ def _is_header(fields: list[str]) -> bool:
 def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTable:
     """Load a vector text file, optionally restricted to a token set.
 
-    The mean vector is computed over the loaded (post-filter) entries.
+    The mean vector is computed over the loaded (post-filter) entries. A
+    loaded row with a nan or inf component, or whose token was already
+    loaded, is an error naming its line.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -65,10 +67,14 @@ def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTabl
                     f"{path}:{lineno}: expected {dim} components, got {len(values)}")
             if vocab_filter is not None and token not in vocab_filter:
                 continue
+            if token in vectors:
+                raise EmbeddingError(f"{path}:{lineno}: duplicated token {token!r}")
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                vec = np.array(values, dtype=np.float64)
             except ValueError:
                 raise EmbeddingError(f"{path}:{lineno}: unparseable vector component") from None
+            if not np.isfinite(vec).all():
+                raise EmbeddingError(f"{path}:{lineno}: non-finite vector component")
             vectors[token] = vec
     if dim is None or not vectors:
         raise EmbeddingError(f"{path}: no vectors loaded")

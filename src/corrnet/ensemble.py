@@ -125,12 +125,15 @@ def qbc_search(ensemble: Ensemble, corpus: Corpus, table: EmbeddingTable,
     return estimates
 
 
+MIN_TREND_ESTIMATES = 8
+
+
 def disagreement_trend(estimates: list[EnsembleEstimate]) -> dict:
     """Linear trend between ensemble mean and disagreement, plus the
     Mann-Whitney comparison of disagreements in the lower vs upper quartile
     of the means."""
-    if len(estimates) < 8:
-        raise ValueError("need at least 8 estimates for a quartile comparison")
+    if len(estimates) < MIN_TREND_ESTIMATES:
+        raise ValueError(f"need at least {MIN_TREND_ESTIMATES} estimates for a quartile comparison")
     means = [e.mean for e in estimates]
     sds = [e.disagreement for e in estimates]
     q1, q3 = quartiles(means)

@@ -75,31 +75,30 @@ def init_params(d: int, h: int, m: int, seed: int = 0) -> ModelParams:
 
 
 def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.weights.items()}
+    return {k: np.zeros(v.shape) for k, v in params.weights.items()}
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass
-class _StepTrace:
-    x: np.ndarray
-    h_prev: np.ndarray
-    z: np.ndarray
-    r: np.ndarray
-    c: np.ndarray
+class _SeqTrace:
+    """One sequence's GRU pass: step t's input x[t], starting state h[t], gates
+    zr[t] = [z; r] and candidate c[t]; h[-1] is the final state."""
+    x: np.ndarray   # (L, d)
+    h: np.ndarray   # (L + 1, h)
+    zr: np.ndarray  # (L, 2h)
+    c: np.ndarray   # (L, h)
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass
 class ForwardTrace:
-    steps_a: list[_StepTrace]
-    steps_b: list[_StepTrace]
+    steps_a: _SeqTrace
+    steps_b: _SeqTrace
     e_a: np.ndarray
     e_b: np.ndarray
     combined: np.ndarray
@@ -107,28 +106,28 @@ class ForwardTrace:
     r_hat: float
 
 
-def _gru_forward(seq, w) -> list[_StepTrace]:
-    h = np.zeros_like(w["b_z"])
-    steps = []
-    for x in seq:
-        z = _sigmoid(w["w_z"] @ x + w["u_z"] @ h + w["b_z"])
-        r = _sigmoid(w["w_r"] @ x + w["u_r"] @ h + w["b_r"])
-        c = np.tanh(w["w_c"] @ x + w["u_c"] @ (r * h) + w["b_c"])
-        steps.append(_StepTrace(np.asarray(x, dtype=np.float64), h, z, r, c))
-        h = (1.0 - z) * h + z * c
-    return steps
-
-
-def _final_state(steps: list[_StepTrace]) -> np.ndarray:
-    last = steps[-1]
-    return (1.0 - last.z) * last.h_prev + last.z * last.c
+def _gru_forward(seq, w) -> _SeqTrace:
+    """Input projections of all steps in one GEMM; the loop adds the recurrence."""
+    x = np.asarray(seq, dtype=np.float64)
+    n = len(w["b_z"])
+    a = (x @ np.concatenate([w["w_z"], w["w_r"], w["w_c"]]).T
+         + np.concatenate([w["b_z"], w["b_r"], w["b_c"]]))
+    a_zr, a_c = a[:, :2 * n], a[:, 2 * n:]
+    u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
+    h, zr, c = np.zeros((len(x) + 1, n)), np.empty((len(x), 2 * n)), np.empty((len(x), n))
+    for t in range(len(x)):
+        h_t, zr_t, c_t = h[t], zr[t], c[t]
+        zr_t[:] = _sigmoid(a_zr[t] + u_zr @ h_t)
+        np.tanh(a_c[t] + u_c @ (zr_t[n:] * h_t), out=c_t)
+        h[t + 1] = h_t + zr_t[:n] * (c_t - h_t)
+    return _SeqTrace(x, h, zr, c)
 
 
 def encode(seq, params: ModelParams) -> np.ndarray:
     """Final hidden state of the recurrent cell over a non-empty sequence."""
     if len(seq) == 0:
         raise ValueError("cannot encode an empty sequence")
-    return _final_state(_gru_forward(seq, params.weights))
+    return _gru_forward(seq, params.weights).h[-1]
 
 
 def _head(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, float]:
@@ -140,13 +139,10 @@ def _head(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, 
 
 def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     """Forward pass for a pair of embedded sequences; the prediction is r_hat.
-
-    Symmetric by construction: both orders produce bit-identical output.
-    """
+    Symmetric by construction: both orders produce bit-identical output."""
     w = params.weights
-    steps_a = _gru_forward(seq_a, w)
-    steps_b = _gru_forward(seq_b, w)
-    e_a, e_b = _final_state(steps_a), _final_state(steps_b)
+    steps_a, steps_b = _gru_forward(seq_a, w), _gru_forward(seq_b, w)
+    e_a, e_b = steps_a.h[-1], steps_b.h[-1]
     combined, u1, r_hat = _head(e_a, e_b, w)
     return ForwardTrace(steps_a, steps_b, e_a, e_b, combined, u1, r_hat)
 
@@ -165,31 +161,33 @@ def predict(models, seqs, pairs) -> np.ndarray:
     return out
 
 
-def _gru_backward(steps: list[_StepTrace], d_final: np.ndarray, w, grads) -> None:
+def _gru_backward(steps: _SeqTrace, d_final: np.ndarray, w, grads) -> None:
+    """Add one sequence's encoder gradients to grads. The loop carries dh back in
+    time, filling row t of da with [da_z; da_r; da_c]; then GEMMs over all rows."""
+    x, h, zr, c = steps.x, steps.h[:-1], steps.zr, steps.c
+    n = c.shape[1]
+    z, r = zr[:, :n], zr[:, n:]
+    keep = 1.0 - z
+    g_z = (c - h) * z * keep  # da_z = dh * g_z, and so on
+    g_c = z * (1.0 - c ** 2)
+    g_r = h * r * (1.0 - r)
+    u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
+    da = np.empty((len(c), 3 * n))
     dh = d_final
-    for st in reversed(steps):
-        dc = dh * st.z
-        dz = dh * (st.c - st.h_prev)
-        da_c = dc * (1.0 - st.c ** 2)
-        da_z = dz * st.z * (1.0 - st.z)
-        uc_dac = w["u_c"].T @ da_c
-        dr = uc_dac * st.h_prev
-        da_r = dr * st.r * (1.0 - st.r)
-
-        grads["w_z"] += np.outer(da_z, st.x)
-        grads["u_z"] += np.outer(da_z, st.h_prev)
-        grads["b_z"] += da_z
-        grads["w_r"] += np.outer(da_r, st.x)
-        grads["u_r"] += np.outer(da_r, st.h_prev)
-        grads["b_r"] += da_r
-        grads["w_c"] += np.outer(da_c, st.x)
-        grads["u_c"] += np.outer(da_c, st.r * st.h_prev)
-        grads["b_c"] += da_c
-
-        dh = (dh * (1.0 - st.z)
-              + w["u_z"].T @ da_z
-              + w["u_r"].T @ da_r
-              + uc_dac * st.r)
+    for t in reversed(range(len(c))):
+        da_t = da[t]
+        np.multiply(dh, g_z[t], out=da_t[:n])
+        np.multiply(dh, g_c[t], out=da_t[2 * n:])
+        uc_dac = da_t[2 * n:] @ u_c
+        np.multiply(uc_dac, g_r[t], out=da_t[n:2 * n])
+        dh = dh * keep[t] + da_t[:2 * n] @ u_zr + uc_dac * r[t]
+    d_in, d_zr, db = da.T @ x, da[:, :2 * n].T @ h, da.sum(axis=0)
+    for k, gate in enumerate("zrc"):
+        grads["w_" + gate] += d_in[k * n:(k + 1) * n]
+        grads["b_" + gate] += db[k * n:(k + 1) * n]
+    grads["u_z"] += d_zr[:n]
+    grads["u_r"] += d_zr[n:]
+    grads["u_c"] += da[:, 2 * n:].T @ (r * h)
 
 
 def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[str, np.ndarray]:
@@ -268,6 +266,8 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
                              f"{lead + shape} for d={d}, h={h}, m={m}"
                              + (f" and {lead[0]} member seeds" if lead else ""))
     weights = {k: v.astype(np.float64) for k, v in stored.items()}
+    if bad := [k for k, v in weights.items() if not np.isfinite(v).all()]:
+        raise ValueError(f"{path}: non-finite values in parameter {bad[0]}")
     if seeds is None:
         return ModelParams(d, h, m, weights)
     return Ensemble([ModelParams(d, h, m, {k: v[i] for k, v in weights.items()})

@@ -30,7 +30,9 @@ def pearson(x, y) -> float:
     dy = y - y.mean()
     sx = math.sqrt(float(dx @ dx))
     sy = math.sqrt(float(dy @ dy))
-    if sx == 0.0 or sy == 0.0:
+    # x - x.mean() keeps rounding error of order 1e-16 * |x| even when every
+    # value is equal, so a spread below 1e-12 of the series' norm counts as none.
+    if sx <= 1e-12 * float(np.linalg.norm(x)) or sy <= 1e-12 * float(np.linalg.norm(y)):
         raise DegenerateDataError("correlation undefined: a series has zero variance")
     return float(dx @ dy) / (sx * sy)
 

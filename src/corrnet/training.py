@@ -42,6 +42,13 @@ class TrainConfig:
             raise ValueError("grad_clip must be positive")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be >= 0")
+        for name in ("batch_size", "hidden_size", "head_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not 0 <= self.val_fraction < 1:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
 
 @dataclass

@@ -234,3 +234,74 @@ def test_eval_rejects_ensemble_file(workdir, ens_file, capsys):
                               "--checkpoint", ens_file])
     assert rc == 1
     assert f"{ens_file}: this command needs a single model" in err
+
+
+def corrupt(path, name, index, value):
+    """Rewrite one weight entry of a checkpoint file in place."""
+    with np.load(path) as data:
+        stored = {k: data[k] for k in data.files}
+    stored[name][index] = value
+    with open(path, "wb") as fh:
+        np.savez(fh, **stored)
+
+
+def first_paper(corpus):
+    with open(corpus) as fh:
+        return fh.readline().split("\t")[0]
+
+
+@pytest.mark.parametrize("name, index, value", [("u_z", (2, 3), np.nan), ("head_b2", (0,), np.inf)])
+def test_non_finite_checkpoint_fails_at_load(workdir, capsys, name, index, value):
+    tmp_path, corpus, emb = workdir
+    ckpt = str(tmp_path / "model.npz")
+    save_checkpoint(init_params(8, 8, 4, seed=0), ckpt)
+    corrupt(ckpt, name, index, value)
+    table = tmp_path / "table"
+    for argv in (["eval", "--corpus", corpus, "--checkpoint", ckpt],
+                 ["infill", "--corpus", corpus, "--checkpoint", ckpt,
+                  "--papers", first_paper(corpus), "--out", str(table)]):
+        rc, out, err = run(capsys, argv + ["--embeddings", emb])
+        assert rc == 1 and out == ""
+        assert f"{ckpt}: non-finite values in parameter {name}" in err
+    assert not os.path.exists(f"{table}.values.tsv")
+
+
+def test_ensemble_with_non_finite_member_fails_at_load(workdir, ens_file, capsys):
+    corrupt(ens_file, "w_c", (1, 0, 5), np.nan)
+    rc, _, err = qbc(capsys, workdir, ens_file)
+    assert rc == 1
+    assert f"{ens_file}: non-finite values in parameter w_c" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["--epochs", "-1"], "epochs must be >= 0, got -1"),
+], ids=["batch_size", "epochs"])
+def test_train_rejects_out_of_range_config(workdir, capsys, flags, message):
+    tmp_path, corpus, emb = workdir
+    ckpt = tmp_path / "model.npz"
+    rc, _, err = run(capsys, ["train", "--corpus", corpus, "--embeddings", emb,
+                              "--out", str(ckpt)] + flags)
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert not ckpt.exists()
+
+
+def test_corpus_gen_rejects_negative_noise(tmp_path, capsys):
+    out = tmp_path / "c.tsv"
+    rc, _, err = run(capsys, ["corpus", "gen", "--correlates", "10", "--findings", "12",
+                              "--noise", "-1", "--out", str(out)])
+    assert rc == 1
+    assert err == "error: noise_sd must be >= 0, got -1.0\n"
+    assert not out.exists()
+
+
+def test_qbc_rejects_too_few_candidates_before_any_work(workdir, capsys):
+    tmp_path, corpus, emb = workdir
+    report = tmp_path / "qbc.tsv"
+    rc, _, err = run(capsys, ["qbc", "--corpus", corpus, "--embeddings", emb,
+                              "--ensemble", str(tmp_path / "missing"), "--candidates", "5",
+                              "--out", str(report)])
+    assert rc == 1
+    assert err == "error: --candidates must be at least 8 for the disagreement trend, got 5\n"
+    assert not report.exists()

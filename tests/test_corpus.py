@@ -181,6 +181,11 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="available pairs"):
             generate_synthetic(4, 7, synth_vocab, seed=0)
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, float("nan")])
+    def test_negative_noise(self, synth_vocab, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be >= 0"):
+            generate_synthetic(6, 5, synth_vocab, noise_sd=noise_sd, seed=0)
+
     def test_more_correlates_than_phrases(self):
         one_token = random_table(1, 4, seed=0)  # forms 6 phrases: 3 to 8 repeats
         generate_synthetic(6, 5, one_token, seed=0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,22 @@ def test_inconsistent_dim(tmp_path):
 def test_bad_component(tmp_path):
     with pytest.raises(EmbeddingError, match="unparseable"):
         load_embeddings(write(tmp_path, "a 1 zz\n"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a 1 0\nb 0 nan\n", ":2: non-finite vector component"),
+    ("2 2\na 1 0\nb -inf 1\n", ":3: non-finite vector component"),
+    ("a 1 0\nb 0 1\na 0 0\n", ":3: duplicated token 'a'"),
+], ids=["nan", "inf", "duplicate"])
+def test_bad_row_names_its_line(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(EmbeddingError, match="^" + re.escape(f"{path}{message}") + "$"):
+        load_embeddings(path)
+
+
+def test_rows_outside_filter_are_not_checked(tmp_path):
+    path = write(tmp_path, "a 1 0\nb nan 1\nb 0 1\n")
+    assert set(load_embeddings(path, vocab_filter={"a"}).vectors) == {"a"}
 
 
 def test_empty_file(tmp_path):

@@ -154,7 +154,53 @@ class TestPredict:
         assert -1.0 <= ab <= 1.0
 
 
+def reference_grads(trace, upstream, params):
+    """backward's gradients from the same forward trace, one step at a time,
+    with one outer product per weight and step."""
+    w, n = params.weights, params.h
+    grads = zero_grads(params)
+    da2 = upstream * (1.0 - trace.r_hat ** 2)
+    grads["head_w2"][0] = da2 * trace.u1
+    grads["head_b2"][0] = da2
+    da1 = w["head_w2"][0] * da2 * (1.0 - trace.u1 ** 2)
+    grads["head_w1"] += np.outer(da1, trace.combined)
+    grads["head_b1"] += da1
+    d_comb = w["head_w1"].T @ da1
+    sign = np.sign(trace.e_a - trace.e_b)
+    for steps, dh in ((trace.steps_a, d_comb[:n] + d_comb[n:] * sign),
+                      (trace.steps_b, d_comb[:n] - d_comb[n:] * sign)):
+        for t in reversed(range(len(steps))):
+            x, h, c = steps.x[t], steps.h[t], steps.c[t]
+            z, r = steps.zr[t, :n], steps.zr[t, n:]
+            da_z = dh * (c - h) * z * (1.0 - z)
+            da_c = dh * z * (1.0 - c ** 2)
+            uc_dac = w["u_c"].T @ da_c
+            da_r = uc_dac * h * r * (1.0 - r)
+            for g, da, h_in in (("z", da_z, h), ("r", da_r, h), ("c", da_c, r * h)):
+                grads["w_" + g] += np.outer(da, x)
+                grads["u_" + g] += np.outer(da, h_in)
+                grads["b_" + g] += da
+            dh = dh * (1.0 - z) + w["u_z"].T @ da_z + w["u_r"].T @ da_r + uc_dac * r
+    return grads
+
+
 class TestBackward:
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 8), h=st.integers(1, 8), m=st.integers(1, 8),
+           len_a=st.integers(1, 8), len_b=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_step_reference(self, d, h, m, len_a, len_b, seed):
+        p = random_params((d, h, m), seed)
+        rng = np.random.default_rng(seed)
+        a, b = random_seq(rng, d, len_a), random_seq(rng, d, len_b)
+        upstream = float(rng.uniform(-2.0, 2.0))
+        trace = predict_pair(a, b, p)
+        got, want = backward(trace, upstream, p), reference_grads(trace, upstream, p)
+        # Relative to the largest entry: a sum over steps can cancel to far
+        # below its terms, and then so does its own relative accuracy.
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+
     def test_zero_upstream(self):
         rng = np.random.default_rng(0)
         p = init_params(4, 3, 2, seed=9)

@@ -32,8 +32,15 @@ class TestPearson:
             assert pearson(x, a * x + 2.0) == pytest.approx(math.copysign(1.0, a))
 
     def test_zero_variance(self):
-        with pytest.raises(DegenerateDataError):
-            pearson([1, 1, 1], [1, 2, 3])
+        for x, y in (([1, 1, 1], [1, 2, 3]),
+                     ([0.1] * 3, [1, 1, 2]),  # x - mean is ~1e-17, not 0
+                     ([1, 1, 2], [0.7] * 3),
+                     ([0, 0, 0], [1, 2, 3])):
+            with pytest.raises(DegenerateDataError):
+                pearson(x, y)
+
+    def test_small_scale_is_not_degenerate(self):
+        assert pearson([1e-20, 2e-20, 3e-20], [1, 2, 3]) == pytest.approx(1.0)
 
     def test_bad_lengths(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from corrnet import training
 from corrnet.corpus import generate_synthetic, split_corpus
 from corrnet.neural import init_params, zero_grads
 from corrnet.stats import DegenerateDataError
@@ -34,6 +35,15 @@ def test_config_validation():
         TrainConfig(grad_clip=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(early_stop_patience=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("epochs", -1), ("val_fraction", -0.1), ("val_fraction", 1.0),
+    ("val_fraction", float("nan")), ("hidden_size", 0), ("head_width", 0),
+])
+def test_config_bounds_name_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        TrainConfig(**{field: value})
 
 
 def test_clip():
@@ -117,6 +127,35 @@ class TestTrain:
         split = split_corpus(corpus, 0.8, seed=0)
         with pytest.raises(TrainingError, match="empty"):
             train(corpus, split, synth_vocab, FAST, train_indices=[])
+
+
+def test_train_calls_predict_pair_and_backward_once_per_pair(synth_vocab, monkeypatch):
+    """Pins what the benchmark's traced mode relies on: train reaches the
+    per-pair forward and backward through training.predict_pair and
+    training.backward, once per pair and epoch, and len(trace.steps_a) is the
+    sequence length. The change that moves the tracer onto corrnet's own
+    timers (ROADMAP item 1) deletes this test."""
+    corpus, _ = generate_synthetic(8, 10, synth_vocab, seed=2)
+    split = split_corpus(corpus, 0.8, seed=0)
+    real_predict_pair, real_backward = training.predict_pair, training.backward
+    forward_traces, backward_traces = [], []
+
+    def predict_pair(seq_a, seq_b, params):
+        trace = real_predict_pair(seq_a, seq_b, params)
+        assert (len(trace.steps_a), len(trace.steps_b)) == (len(seq_a), len(seq_b))
+        forward_traces.append(trace)
+        return trace
+
+    def backward(trace, upstream, params):
+        backward_traces.append(trace)
+        return real_backward(trace, upstream, params)
+
+    monkeypatch.setattr(training, "predict_pair", predict_pair)
+    monkeypatch.setattr(training, "backward", backward)
+    cfg = TrainConfig(epochs=2, val_fraction=0.0, batch_size=3, hidden_size=4, head_width=3)
+    train(corpus, split, synth_vocab, cfg)
+    assert len(forward_traces) == 2 * len(split.train_indices)
+    assert [id(t) for t in backward_traces] == [id(t) for t in forward_traces]
 
 
 class TestEvaluate:
