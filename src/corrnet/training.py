@@ -34,11 +34,11 @@ class TrainConfig:
     head_width: int = 32
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # "not >" also rejects nan
             raise ValueError("learning_rate must be positive")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValueError("Adam betas must lie in (0, 1)")
-        if self.grad_clip <= 0:
+        if not self.grad_clip > 0:
             raise ValueError("grad_clip must be positive")
         if self.early_stop_patience < 0:
             raise ValueError("early_stop_patience must be >= 0")

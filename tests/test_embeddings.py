@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -58,8 +56,9 @@ def test_bad_component(tmp_path):
 ], ids=["nan", "inf", "duplicate"])
 def test_bad_row_names_its_line(tmp_path, text, message):
     path = write(tmp_path, text)
-    with pytest.raises(EmbeddingError, match="^" + re.escape(f"{path}{message}") + "$"):
+    with pytest.raises(EmbeddingError) as exc:
         load_embeddings(path)
+    assert str(exc.value) == f"{path}{message}"
 
 
 def test_rows_outside_filter_are_not_checked(tmp_path):

@@ -34,7 +34,7 @@ class TestPearson:
     def test_zero_variance(self):
         for x, y in (([1, 1, 1], [1, 2, 3]),
                      ([0.1] * 3, [1, 1, 2]),  # x - mean is ~1e-17, not 0
-                     ([1, 1, 2], [0.7] * 3),
+                     ([1, 1, 2], [0.7] * 3),  # y - mean is ~1e-16, not 0
                      ([0, 0, 0], [1, 2, 3])):
             with pytest.raises(DegenerateDataError):
                 pearson(x, y)

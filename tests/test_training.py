@@ -40,6 +40,7 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("batch_size", 0), ("epochs", -1), ("val_fraction", -0.1), ("val_fraction", 1.0),
     ("val_fraction", float("nan")), ("hidden_size", 0), ("head_width", 0),
+    ("learning_rate", float("nan")), ("grad_clip", float("nan")),
 ])
 def test_config_bounds_name_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
