@@ -54,9 +54,15 @@ def _train_config(args) -> training.TrainConfig:
         hidden_size=args.hidden_size, head_width=args.head_width)
 
 
-def _load_split(args):
+def _load_split(args, min_test=0):
+    """The corpus and its split; a command that reports a test correlation
+    asks for min_test = 2 test findings."""
     corpus = corpus_mod.load_corpus(args.corpus)
     split = corpus_mod.split_corpus(corpus, args.train_fraction, args.seed)
+    if len(split.test_indices) < min_test:
+        raise ValueError(f"train_fraction = {args.train_fraction} leaves "
+                         f"{len(split.test_indices)} of {corpus.n_findings} findings for testing; "
+                         f"the test correlation needs at least {min_test}")
     return corpus, split
 
 
@@ -88,7 +94,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus, split = _load_split(args)
+    corpus, split = _load_split(args, min_test=2)
     table = load_embeddings(args.embeddings)
     params, report = training.train(corpus, split, table, _train_config(args))
     neural.save_checkpoint(params, args.out)
@@ -100,7 +106,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    corpus, split = _load_split(args)
+    corpus, split = _load_split(args, min_test=2)
     table = load_embeddings(args.embeddings)
     params = _load_model(args.checkpoint, table, neural.ModelParams)
     result = training.evaluate(params, corpus, split.test_indices, table)
@@ -109,7 +115,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    corpus, split = _load_split(args)
+    corpus, split = _load_split(args, min_test=2)
     model = baseline_mod.fit_baseline(corpus, split.train_indices, mode=args.mode)
     preds, actual = [], []
     for i in split.test_indices:

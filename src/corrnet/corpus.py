@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textnorm import NormalizationConfig, normalize
+from .textnorm import normalize
 
 
 class CorpusError(Exception):
@@ -83,7 +83,7 @@ class _CorrelateInterner:
         return cid
 
 
-def load_corpus(path, normalizer: NormalizationConfig = NormalizationConfig()) -> Corpus:
+def load_corpus(path) -> Corpus:
     """Load and validate a findings file.
 
     Correlates with the same normalized token sequence share one id. Rejects
@@ -111,8 +111,8 @@ def load_corpus(path, normalizer: NormalizationConfig = NormalizationConfig()) -
                 raise CorpusError(f"{path}:{lineno}: unparseable r {r_s!r}") from None
             if not -1.0 <= r <= 1.0:
                 raise CorpusError(f"{path}:{lineno}: r = {r} outside [-1, 1]")
-            tokens_a = tuple(normalize(text_a, normalizer))
-            tokens_b = tuple(normalize(text_b, normalizer))
+            tokens_a = tuple(normalize(text_a))
+            tokens_b = tuple(normalize(text_b))
             if not tokens_a or not tokens_b:
                 raise CorpusError(f"{path}:{lineno}: correlate text normalizes to empty token list")
             id_a = interner.intern(text_a, tokens_a)
@@ -148,6 +148,9 @@ def split_corpus(corpus: Corpus, train_fraction: float = 0.8, seed: int = 0) -> 
     if n < 2:
         raise CorpusError("need at least 2 findings to split")
     n_train = int(math.floor(train_fraction * n + 0.5))
+    if not 0 < n_train < n:
+        raise ValueError(f"train_fraction = {train_fraction} splits {n} findings into "
+                         f"{n_train} train and {n - n_train} test; neither side may be empty")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     return Split(tuple(sorted(order[:n_train].tolist())),
@@ -172,15 +175,18 @@ def untested_fraction(n_correlates: int, n_tested_pairs: int) -> float:
 
 
 def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable,
-                       noise_sd: float = 0.05, seed: int = 0,
-                       gain: float = 2.0) -> tuple[Corpus, list[float]]:
+                       noise_sd: float = 0.05, seed: int = 0) -> tuple[Corpus, list[float]]:
     """Generate a corpus whose correlations follow a known analytic rule.
 
     Each correlate is a random 3-8 token phrase from the vocabulary; its
     latent vector is the mean of its token embeddings. Each finding reports
-    r = tanh(gain * cosine(latent_a, latent_b)) plus Gaussian noise, clipped
+    r = tanh(2 * cosine(latent_a, latent_b)) plus Gaussian noise, clipped
     to [-1, 1]. Returns the corpus and the parallel noise-free r values.
     """
+    if n_correlates < 2:
+        raise ValueError(f"n_correlates must be >= 2, got {n_correlates}")
+    if n_findings < 1:
+        raise ValueError(f"n_findings must be >= 1, got {n_findings}")
     if len(vocab.vectors) == 0:
         raise ValueError("vocabulary is empty")
     if not noise_sd >= 0:  # also rejects nan
@@ -220,7 +226,7 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
         va, vb = latents[a], latents[b]
         denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
         cos = float(va @ vb) / denom if denom > 0 else 0.0
-        r_clean = math.tanh(gain * cos)
+        r_clean = math.tanh(2.0 * cos)
         r = r_clean
         if noise_sd > 0:
             r += noise_sd * float(rng.standard_normal())

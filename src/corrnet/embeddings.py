@@ -8,20 +8,12 @@ header line, then one "<token> <v1> ... <vd>" line per word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 
 class EmbeddingError(Exception):
     """Raised for malformed vector files."""
-
-
-class OovPolicy(Enum):
-    """What to do with tokens missing from the table."""
-    MEAN = "mean"    # substitute the table-wide mean vector
-    ZERO = "zero"    # substitute a zero vector
-    DROP = "drop"    # skip the token; fall back to the mean if all drop
 
 
 @dataclass(frozen=True)
@@ -101,21 +93,9 @@ def random_table(n_tokens: int, dim: int, seed: int = 0) -> EmbeddingTable:
     return make_table(vecs)
 
 
-def embed_sequence(tokens, table: EmbeddingTable,
-                   oov: OovPolicy = OovPolicy.MEAN) -> list[np.ndarray]:
-    """Map a non-empty token sequence to a non-empty vector sequence."""
+def embed_sequence(tokens, table: EmbeddingTable) -> list[np.ndarray]:
+    """The table's own vector for each token; an out-of-vocabulary token
+    gets table.mean_vector."""
     if not tokens:
         raise ValueError("token sequence is empty")
-    out: list[np.ndarray] = []
-    for tok in tokens:
-        vec = table.vectors.get(tok)
-        if vec is not None:
-            out.append(vec)
-        elif oov is OovPolicy.MEAN:
-            out.append(table.mean_vector)
-        elif oov is OovPolicy.ZERO:
-            out.append(np.zeros(table.dim))
-        # DROP: skip
-    if not out:
-        out.append(table.mean_vector)
-    return out
+    return [table.vectors.get(tok, table.mean_vector) for tok in tokens]

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Corpus, Split, _pair_key
-from .embeddings import EmbeddingTable, OovPolicy
+from .embeddings import EmbeddingTable
 from .neural import Ensemble, predict
 from .stats import MwuResult, mann_whitney_u, pearson, quartiles
 from .training import TrainConfig, embed_pairs, train
@@ -37,30 +38,27 @@ def _train_member(args):
 
 def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
                    config: TrainConfig, n_members: int, bagging: bool = True,
-                   member_seeds=None, jobs: int = 1) -> Ensemble:
-    """Train n_members independent models.
+                   jobs: int = 1) -> Ensemble:
+    """Train n_members independent models, in up to jobs worker processes.
 
     Member k uses seed config.seed + k for initialization, shuffling, and
     (when bagging is on) its bootstrap resample of the training findings.
     """
     if n_members < 2:
         raise ValueError("n_members must be >= 2")
-    if member_seeds is None:
-        member_seeds = [config.seed + k for k in range(n_members)]
-    elif len(member_seeds) != n_members:
-        raise ValueError("need one seed per member")
-    work = [(corpus, split, table, config, seed, bagging) for seed in member_seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            members = list(pool.map(_train_member, work))
-    else:
-        members = []
-        for k, w in enumerate(work):
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    seeds = [config.seed + k for k in range(n_members)]
+    work = [(corpus, split, table, config, seed, bagging) for seed in seeds]
+    members = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_train_member, work)
+        for k in range(n_members):
             try:
-                members.append(_train_member(w))
+                members.append(next(results))
             except Exception as exc:
                 raise RuntimeError(f"training ensemble member {k} failed") from exc
-    return Ensemble(members, list(member_seeds), bagging)
+    return Ensemble(members, seeds, bagging)
 
 
 def summarize_predictions(preds, pair: tuple[int, int] = (-1, -1)) -> EnsembleEstimate:
@@ -106,8 +104,7 @@ def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[
 
 
 def qbc_search(ensemble: Ensemble, corpus: Corpus, table: EmbeddingTable,
-               n_candidates: int, seed: int, top_fraction: float = 0.01,
-               oov: OovPolicy = OovPolicy.MEAN) -> list[EnsembleEstimate]:
+               n_candidates: int, seed: int, top_fraction: float = 0.01) -> list[EnsembleEstimate]:
     """Rank random untested pairs by ensemble disagreement, descending.
 
     The top ceil(top_fraction * n_candidates) estimates are flagged as the
@@ -116,7 +113,7 @@ def qbc_search(ensemble: Ensemble, corpus: Corpus, table: EmbeddingTable,
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must be in (0, 1]")
     pairs = sample_untested_pairs(corpus, n_candidates, seed)
-    preds = predict(ensemble.members, embed_pairs(corpus, pairs, table, oov), pairs)
+    preds = predict(ensemble.members, embed_pairs(corpus, pairs, table), pairs)
     estimates = [summarize_predictions(row, pair) for row, pair in zip(preds, pairs)]
     estimates.sort(key=lambda e: (-e.disagreement, e.pair))
     n_flagged = math.ceil(top_fraction * n_candidates)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, _pair_key
-from .embeddings import EmbeddingTable, OovPolicy
+from .embeddings import EmbeddingTable
 from .ensemble import Ensemble
 from .neural import predict
 from .training import embed_pairs
@@ -27,7 +27,7 @@ class CorrelationTable:
 
 
 def build_table(corpus: Corpus, paper_ids: list[str], model,
-                table: EmbeddingTable, oov: OovPolicy = OovPolicy.MEAN) -> CorrelationTable:
+                table: EmbeddingTable) -> CorrelationTable:
     """Assemble the symmetric correlation table over the papers' correlates.
 
     Rows/columns are the union of the papers' correlates, grouped by paper
@@ -65,7 +65,7 @@ def build_table(corpus: Corpus, paper_ids: list[str], model,
                 unreported.append((i, j))
     members = model.members if isinstance(model, Ensemble) else [model]
     pairs = [(order[i], order[j]) for i, j in unreported]
-    means = predict(members, embed_pairs(corpus, pairs, table, oov), pairs).mean(axis=1)
+    means = predict(members, embed_pairs(corpus, pairs, table), pairs).mean(axis=1)
     for (i, j), val in zip(unreported, means.tolist()):
         values[i, j] = values[j, i] = val
         kinds[i, j] = kinds[j, i] = KIND_PREDICTED

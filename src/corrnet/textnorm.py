@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+
+MAX_TOKENS = 32
 
 # Anything that is not a word character, whitespace, hyphen or apostrophe
 # becomes a space. Hyphens/apostrophes survive this pass so that in-word
@@ -13,32 +14,14 @@ _PUNCT_RE = re.compile(r"[^\w\s'’-]", re.UNICODE)
 _EDGE_RE = re.compile(r"^['’-]+|['’-]+$")
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    lowercase: bool = True
-    strip_punctuation: bool = True
-    max_tokens: int = 32
-
-    def __post_init__(self):
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-
-
-def normalize(raw: str, config: NormalizationConfig = NormalizationConfig()) -> list[str]:
+def normalize(raw: str) -> list[str]:
     """Turn a raw description into an ordered list of tokens.
 
-    Applies NFC unicode normalization, optional lowercasing, optional
-    punctuation stripping (hyphens and apostrophes inside words are kept),
-    whitespace splitting, and truncation to ``config.max_tokens``. An empty
-    result list is valid; callers decide whether to reject it.
+    Applies NFC unicode normalization, lowercasing, punctuation stripping
+    (hyphens and apostrophes inside words are kept), whitespace splitting,
+    and truncation to MAX_TOKENS. An empty result list is valid; callers
+    decide whether to reject it.
     """
-    text = unicodedata.normalize("NFC", raw)
-    if config.lowercase:
-        text = text.lower()
-    if config.strip_punctuation:
-        text = _PUNCT_RE.sub(" ", text)
-        tokens = [_EDGE_RE.sub("", t) for t in text.split()]
-        tokens = [t for t in tokens if t]
-    else:
-        tokens = text.split()
-    return tokens[: config.max_tokens]
+    text = _PUNCT_RE.sub(" ", unicodedata.normalize("NFC", raw).lower())
+    tokens = [_EDGE_RE.sub("", t) for t in text.split()]
+    return [t for t in tokens if t][:MAX_TOKENS]

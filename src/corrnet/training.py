@@ -8,10 +8,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, Split
-from .embeddings import EmbeddingTable, OovPolicy, embed_sequence
+from .embeddings import EmbeddingTable, embed_sequence
 from .neural import (ModelParams, backward, init_params, predict, predict_pair,
                      zero_grads)
 from .stats import pearson
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class TrainingError(Exception):
@@ -22,9 +26,6 @@ class TrainingError(Exception):
 class TrainConfig:
     epochs: int = 100
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     grad_clip: float = 5.0
     batch_size: int = 32
     early_stop_patience: int = 10
@@ -36,8 +37,6 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:  # "not >" also rejects nan
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("Adam betas must lie in (0, 1)")
         if not self.grad_clip > 0:
             raise ValueError("grad_clip must be positive")
         if self.early_stop_patience < 0:
@@ -93,20 +92,19 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
             raise TrainingError(f"non-finite gradient for parameter {name}; step rejected")
     grads = clip_gradients(grads, config.grad_clip)
     state.t += 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, g in grads.items():
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1 ** state.t)
         v_hat = state.v[name] / (1 - b2 ** state.t)
-        params.weights[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+        params.weights[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
-def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable,
-                oov: OovPolicy = OovPolicy.MEAN) -> dict[int, list[np.ndarray]]:
+def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable) -> dict[int, list[np.ndarray]]:
     """The embedded token sequence of every correlate named in pairs."""
     cids = dict.fromkeys(cid for pair in pairs for cid in pair)
-    return {cid: embed_sequence(corpus.correlates[cid].tokens, table, oov) for cid in cids}
+    return {cid: embed_sequence(corpus.correlates[cid].tokens, table) for cid in cids}
 
 
 def _finding_pairs(corpus: Corpus, indices) -> list[tuple[int, int]]:
@@ -187,12 +185,11 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
     return best_params, report
 
 
-def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable,
-             oov: OovPolicy = OovPolicy.MEAN) -> dict:
+def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable) -> dict:
     """Predict each listed finding and correlate predictions with reports."""
     if not indices:
         raise ValueError("no finding indices to evaluate")
     pairs = _finding_pairs(corpus, indices)
-    r_hats = predict([params], embed_pairs(corpus, pairs, table, oov), pairs)[:, 0].tolist()
+    r_hats = predict([params], embed_pairs(corpus, pairs, table), pairs)[:, 0].tolist()
     r_vals = [corpus.findings[i].r for i in indices]
     return {"pearson_r": pearson(r_vals, r_hats), "predictions": list(zip(r_vals, r_hats))}

@@ -296,6 +296,51 @@ def test_corpus_gen_rejects_negative_noise(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--correlates", "1", "--findings", "0"], "n_correlates must be >= 2, got 1"),
+    (["--correlates", "10", "--findings", "-3"], "n_findings must be >= 1, got -3"),
+    (["--correlates", "-1", "--findings", "1"], "n_correlates must be >= 2, got -1"),
+])
+def test_corpus_gen_rejects_impossible_request(tmp_path, capsys, argv, message):
+    out = tmp_path / "c.tsv"
+    rc, stdout, err = run(capsys, ["corpus", "gen", "--out", str(out)] + argv)
+    assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "baseline"])
+@pytest.mark.parametrize("fraction, message", [
+    ("0.9", "train_fraction = 0.9 splits 5 findings into 5 train and 0 test; "
+            "neither side may be empty"),
+    ("0.7", "train_fraction = 0.7 leaves 1 of 5 findings for testing; "
+            "the test correlation needs at least 2"),
+])
+def test_degenerate_split_fails_before_any_work(workdir, capsys, command, fraction, message):
+    tmp_path, _, emb = workdir
+    corpus = str(tmp_path / "five.tsv")
+    assert main(["corpus", "gen", "--correlates", "6", "--findings", "5",
+                 "--embeddings", emb, "--out", corpus]) == 0
+    capsys.readouterr()
+    model, log = tmp_path / "m.npz", tmp_path / "train.log"
+    argv = {"train": ["--embeddings", emb, "--out", str(model), "--log", str(log)] + TRAIN_FLAGS,
+            "eval": ["--embeddings", emb, "--checkpoint", str(model)],
+            "baseline": []}[command]
+    rc, stdout, err = run(capsys, [command, "--corpus", corpus, "--train-fraction", fraction]
+                          + argv)
+    assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+    assert not model.exists() and not log.exists()
+
+
+def test_ensemble_train_rejects_zero_jobs(workdir, capsys):
+    tmp_path, corpus, emb = workdir
+    out = tmp_path / "ens.npz"
+    rc, stdout, err = run(capsys, ["ensemble-train", "--corpus", corpus, "--embeddings", emb,
+                                   "--members", "2", "--jobs", "0", "--out", str(out)]
+                          + TRAIN_FLAGS)
+    assert (rc, stdout, err) == (1, "", "error: jobs must be >= 1, got 0\n")
+    assert not out.exists()
+
+
 def test_qbc_rejects_too_few_candidates_before_any_work(workdir, capsys):
     tmp_path, corpus, emb = workdir
     report = tmp_path / "qbc.tsv"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from corrnet.corpus import (CorpusError, corpus_stats, generate_synthetic,
                             load_corpus, save_corpus, split_corpus,
                             untested_fraction)
 from corrnet.embeddings import random_table
+from corrnet.textnorm import normalize
 
 
 def write(tmp_path, lines):
@@ -84,6 +87,37 @@ def test_round_trip(tmp_path, demo_corpus):
     assert {c.raw_text for c in reloaded.correlates.values()} == texts
 
 
+# Findings-file rows: text fields without tabs, line breaks or surrogates
+# (which UTF-8 cannot encode), r with at most 6 decimals (what save_corpus
+# writes). Each text holds a word between arbitrary characters, so that most
+# normalize to a usable correlate.
+free_text = st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\t\n\r"))
+field_text = st.tuples(free_text, st.text("abcxyz", min_size=1), free_text).map(" ".join)
+finding_rows = st.lists(
+    st.tuples(st.text("abcxyz0123456789_", min_size=1), st.integers(1900, 2100),
+              field_text, field_text, st.integers(-10**6, 10**6)),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=finding_rows)
+def test_save_load_save_round_trip(tmp_path_factory, rows):
+    for _, _, text_a, text_b, _ in rows:
+        assume(normalize(text_a) and normalize(text_b) and normalize(text_a) != normalize(text_b))
+    tmp = tmp_path_factory.mktemp("rt")
+    source = tmp / "source.tsv"
+    with open(source, "w", encoding="utf-8") as fh:
+        for paper, year, text_a, text_b, micro_r in rows:
+            fh.write("%s\t%d\t%s\t%s\t%.6f\n" % (paper, year, text_a, text_b, micro_r / 1e6))
+    loaded = load_corpus(source)
+    save_corpus(loaded, tmp / "once.tsv")
+    reloaded = load_corpus(tmp / "once.tsv")
+    save_corpus(reloaded, tmp / "twice.tsv")
+    assert reloaded == loaded
+    assert (tmp / "twice.tsv").read_bytes() == (tmp / "once.tsv").read_bytes()
+    assert [f.r for f in loaded.findings] == [row[4] / 1e6 for row in rows]
+
+
 def test_pair_index_covers_findings(demo_corpus):
     assert sum(len(v) for v in demo_corpus.pair_index.values()) == demo_corpus.n_findings
     for (a, b), idx in demo_corpus.pair_index.items():
@@ -115,6 +149,16 @@ class TestSplit:
         for frac in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
                 split_corpus(demo_corpus, frac, seed=0)
+
+    @pytest.mark.parametrize("frac, message", [
+        (0.9, "splits 5 findings into 5 train and 0 test"),
+        (0.05, "splits 5 findings into 0 train and 5 test"),
+    ])
+    def test_empty_side(self, synth_vocab, frac, message):
+        corpus, _ = generate_synthetic(6, 5, synth_vocab, seed=1)
+        with pytest.raises(ValueError) as exc:
+            split_corpus(corpus, frac, seed=0)
+        assert str(exc.value) == f"train_fraction = {frac} {message}; neither side may be empty"
 
     def test_corpus_scale_arithmetic(self):
         # 80% of the 170k-scale corpus, round-half-up.
@@ -185,6 +229,21 @@ class TestSynthetic:
     def test_negative_noise(self, synth_vocab, noise_sd):
         with pytest.raises(ValueError, match="noise_sd must be >= 0"):
             generate_synthetic(6, 5, synth_vocab, noise_sd=noise_sd, seed=0)
+
+    @pytest.mark.parametrize("n_correlates, n_findings, message", [
+        (1, 0, "n_correlates must be >= 2, got 1"),
+        (-1, 1, "n_correlates must be >= 2, got -1"),
+        (10, 0, "n_findings must be >= 1, got 0"),
+        (10, -3, "n_findings must be >= 1, got -3"),
+    ])
+    def test_impossible_request(self, synth_vocab, n_correlates, n_findings, message):
+        with pytest.raises(ValueError) as exc:
+            generate_synthetic(n_correlates, n_findings, synth_vocab, seed=0)
+        assert str(exc.value) == message
+
+    def test_smallest_request(self, synth_vocab):
+        corpus, _ = generate_synthetic(2, 1, synth_vocab, seed=0)
+        assert (corpus.n_correlates, corpus.n_findings) == (2, 1)
 
     def test_more_correlates_than_phrases(self):
         one_token = random_table(1, 4, seed=0)  # forms 6 phrases: 3 to 8 repeats

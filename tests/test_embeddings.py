@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from corrnet.embeddings import (EmbeddingError, OovPolicy, embed_sequence,
-                                load_embeddings, make_table)
+from corrnet.embeddings import (EmbeddingError, embed_sequence, load_embeddings,
+                                make_table)
 
 
 def write(tmp_path, text):
@@ -87,27 +87,22 @@ class TestEmbedSequence:
         np.testing.assert_array_equal(out[0], [1, 0])
 
     def test_mean_policy(self):
-        out = embed_sequence(["zzqx"], self.table, OovPolicy.MEAN)
-        np.testing.assert_allclose(out[0], [0.5, 0.5])
-
-    def test_zero_policy(self):
-        out = embed_sequence(["zzqx"], self.table, OovPolicy.ZERO)
-        np.testing.assert_array_equal(out[0], [0, 0])
-
-    def test_drop_policy(self):
-        out = embed_sequence(["job", "zzqx"], self.table, OovPolicy.DROP)
-        assert len(out) == 1
-        np.testing.assert_array_equal(out[0], [1, 0])
-
-    def test_drop_all_falls_back_to_mean(self):
-        out = embed_sequence(["zzqx", "qqq"], self.table, OovPolicy.DROP)
-        assert len(out) == 1
+        out = embed_sequence(["zzqx"], self.table)
         np.testing.assert_allclose(out[0], [0.5, 0.5])
 
     def test_length_preserved(self):
         toks = ["job", "zzqx", "age", "qqq"]
-        for policy in (OovPolicy.MEAN, OovPolicy.ZERO):
-            assert len(embed_sequence(toks, self.table, policy)) == len(toks)
+        assert len(embed_sequence(toks, self.table)) == len(toks)
+
+    def test_returns_the_tables_own_arrays(self):
+        """Every element is the table's array itself, never a copy: the
+        traced benchmark (perfbench/tracing._seq_key) names a token by the
+        id() of its vector, so a copy would make every encode look new."""
+        out = embed_sequence(["age", "zzqx", "job", "zzqx"], self.table)
+        assert out[0] is self.table.vectors["age"]
+        assert out[1] is self.table.mean_vector
+        assert out[2] is self.table.vectors["job"]
+        assert out[3] is self.table.mean_vector
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from corrnet import ensemble
 from corrnet.corpus import generate_synthetic, split_corpus
 from corrnet.embeddings import embed_sequence
 from corrnet.ensemble import (Ensemble, EnsembleEstimate, disagreement_trend,
@@ -11,9 +13,19 @@ from corrnet.ensemble import (Ensemble, EnsembleEstimate, disagreement_trend,
                               train_ensemble)
 from corrnet.neural import init_params, predict_pair
 from corrnet.stats import DegenerateDataError
-from corrnet.training import TrainConfig
+from corrnet.training import TrainConfig, train
 
 FAST = TrainConfig(epochs=2, hidden_size=8, head_width=4, seed=0)
+_train_member = ensemble._train_member
+
+
+def _fail_second_member(args):
+    """Stands in for ensemble._train_member and fails the member of seed 1;
+    at module level, so that a worker process can unpickle it."""
+    seed = args[4]
+    if seed == 1:
+        raise ValueError(f"member with seed {seed}")
+    return _train_member(args)
 
 
 @pytest.fixture(scope="module")
@@ -75,13 +87,37 @@ class TestTrainEnsemble:
                    for n in ens.members[0].weights)
         assert diff
 
-    def test_forced_identical_seeds_no_bagging(self, small_setup, synth_vocab):
+    def test_member_k_is_train_with_seed_plus_k(self, small_setup, synth_vocab):
         corpus, split = small_setup
-        ens = train_ensemble(corpus, split, synth_vocab, FAST, 2,
-                             bagging=False, member_seeds=[5, 5])
-        for name in ens.members[0].weights:
-            np.testing.assert_array_equal(ens.members[0].weights[name],
-                                          ens.members[1].weights[name])
+        config = replace(FAST, seed=3)
+        ens = train_ensemble(corpus, split, synth_vocab, config, 3, bagging=False)
+        assert ens.member_seeds == [3, 4, 5]
+        for k, member in enumerate(ens.members):
+            alone, _ = train(corpus, split, synth_vocab, replace(config, seed=3 + k))
+            for name in alone.weights:
+                np.testing.assert_array_equal(member.weights[name], alone.weights[name])
+
+    def test_two_jobs_match_one_job_bitwise(self, small_setup, synth_vocab):
+        corpus, split = small_setup
+        serial = train_ensemble(corpus, split, synth_vocab, FAST, 3, jobs=1)
+        pooled = train_ensemble(corpus, split, synth_vocab, FAST, 3, jobs=2)
+        assert pooled.member_seeds == serial.member_seeds
+        for a, b in zip(serial.members, pooled.members):
+            for name in a.weights:
+                np.testing.assert_array_equal(a.weights[name], b.weights[name])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_member_is_named(self, small_setup, synth_vocab, monkeypatch, jobs):
+        corpus, split = small_setup
+        monkeypatch.setattr(ensemble, "_train_member", _fail_second_member)
+        with pytest.raises(RuntimeError, match="^training ensemble member 1 failed$") as exc:
+            train_ensemble(corpus, split, synth_vocab, FAST, 3, jobs=jobs)
+        assert "member with seed 1" in str(exc.value.__cause__)
+
+    def test_jobs_must_be_positive(self, small_setup, synth_vocab):
+        corpus, split = small_setup
+        with pytest.raises(ValueError, match="^jobs must be >= 1, got 0$"):
+            train_ensemble(corpus, split, synth_vocab, FAST, 2, jobs=0)
 
     def test_bad_member_count(self, small_setup, synth_vocab):
         corpus, split = small_setup

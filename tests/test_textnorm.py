@@ -1,6 +1,7 @@
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrnet.textnorm import NormalizationConfig, normalize
+from corrnet.textnorm import MAX_TOKENS, normalize
 
 
 def test_basic_examples():
@@ -24,18 +25,8 @@ def test_edge_punctuation_stripped():
 
 def test_truncation():
     raw = " ".join(f"w{i}" for i in range(50))
-    assert len(normalize(raw, NormalizationConfig(max_tokens=5))) == 5
-    assert normalize(raw)[:3] == ["w0", "w1", "w2"]
-
-
-def test_flags():
-    cfg = NormalizationConfig(lowercase=False, strip_punctuation=False)
-    assert normalize("Job (GDP)", cfg) == ["Job", "(GDP)"]
-
-
-def test_invalid_config():
-    with pytest.raises(ValueError):
-        NormalizationConfig(max_tokens=0)
+    assert MAX_TOKENS == 32
+    assert normalize(raw) == [f"w{i}" for i in range(MAX_TOKENS)]
 
 
 def test_idempotence():
@@ -49,6 +40,13 @@ def test_idempotence():
     for raw in samples:
         once = normalize(raw)
         assert normalize(" ".join(once)) == once
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_idempotence_property(raw):
+    once = normalize(raw)
+    assert normalize(" ".join(once)) == once
 
 
 def test_empty_result_is_valid():
