@@ -4,37 +4,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Corpus, _pair_key
 
 
 @dataclass
 class BaselineModel:
     per_correlate: dict[int, tuple[float, int]]  # id -> (sum of r, count)
-    per_pair: dict[tuple[int, int], tuple[float, int]]
     global_mean: float
+    corpus: Corpus
+    train_counts: np.ndarray  # finding index -> occurrences among the training indices
     mode: str = "pool"  # "pool": union of findings; "average": mean of the two means
 
 
 def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineModel:
-    """Accumulate per-correlate r sums/counts over the training findings."""
+    """Accumulate per-correlate r sums/counts over the training findings.
+
+    Every occurrence of an index counts. The sums add r in the order of
+    `train_indices`, as a loop over the findings would.
+    """
     if mode not in ("pool", "average"):
         raise ValueError("mode must be 'pool' or 'average'")
-    train_indices = list(train_indices)
-    if not train_indices:
+    train = np.fromiter(train_indices, dtype=np.int64)
+    n = len(train)
+    if not n:
         raise ValueError("train set is empty")
-    per_correlate: dict[int, tuple[float, int]] = {}
-    per_pair: dict[tuple[int, int], tuple[float, int]] = {}
-    total = 0.0
-    for i in train_indices:
-        f = corpus.findings[i]
-        total += f.r
-        for cid in (f.correlate_a, f.correlate_b):
-            s, c = per_correlate.get(cid, (0.0, 0))
-            per_correlate[cid] = (s + f.r, c + 1)
-        key = _pair_key(f.correlate_a, f.correlate_b)
-        s, c = per_pair.get(key, (0.0, 0))
-        per_pair[key] = (s + f.r, c + 1)
-    return BaselineModel(per_correlate, per_pair, total / len(train_indices), mode)
+    findings = corpus.findings
+    bad = train[(train < 0) | (train >= len(findings))]
+    if len(bad):
+        raise ValueError(f"train index {bad[0]} outside the corpus's {len(findings)} findings")
+    rows = memoryview(train)  # yields Python ints without a per-finding list
+    ids = np.empty(2 * n, dtype=np.int64)  # a0, b0, a1, b1, ...
+    ids[0::2] = np.fromiter((findings[i].correlate_a for i in rows), dtype=np.int64, count=n)
+    ids[1::2] = np.fromiter((findings[i].correlate_b for i in rows), dtype=np.int64, count=n)
+    r = np.fromiter((findings[i].r for i in rows), dtype=np.float64, count=n)
+    # bincount and cumsum add in array order, so both match the sequential sums.
+    sums = np.bincount(ids, weights=np.repeat(r, 2))
+    counts = np.bincount(ids)
+    seen = np.flatnonzero(counts)
+    per_correlate = dict(zip(seen.tolist(), zip(sums[seen].tolist(), counts[seen].tolist())))
+    return BaselineModel(per_correlate, float(np.cumsum(r)[-1]) / n, corpus,
+                         np.bincount(train, minlength=len(findings)), mode)
 
 
 def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
@@ -55,5 +66,10 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
         return sum(means) / len(means)
     s_i, c_count_i = seen_i if seen_i is not None else (0.0, 0)
     s_j, c_count_j = seen_j if seen_j is not None else (0.0, 0)
-    s_ij, c_ij = model.per_pair.get(_pair_key(c_i, c_j), (0.0, 0))
+    s_ij, c_ij = 0.0, 0
+    for k in model.corpus.pair_index.get(_pair_key(c_i, c_j), ()):
+        times = model.train_counts.item(k)
+        if times:
+            s_ij += times * model.corpus.findings[k].r
+            c_ij += times
     return (s_i + s_j - s_ij) / (c_count_i + c_count_j - c_ij)

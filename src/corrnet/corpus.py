@@ -44,12 +44,17 @@ def _pair_key(a: int, b: int) -> tuple[int, int]:
 class Corpus:
     correlates: dict[int, Correlate]
     findings: list[Finding]
-    pair_index: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    # Derived from `findings`: finding indices, in finding order, per
+    # unordered correlate pair and per paper id.
+    pair_index: dict[tuple[int, int], list[int]] = field(init=False)
+    paper_index: dict[str, list[int]] = field(init=False)
 
     def __post_init__(self):
-        if not self.pair_index:
-            for i, f in enumerate(self.findings):
-                self.pair_index.setdefault(_pair_key(f.correlate_a, f.correlate_b), []).append(i)
+        pair_index, paper_index = {}, {}
+        for i, f in enumerate(self.findings):
+            pair_index.setdefault(_pair_key(f.correlate_a, f.correlate_b), []).append(i)
+            paper_index.setdefault(f.paper_id, []).append(i)
+        self.pair_index, self.paper_index = pair_index, paper_index
 
     @property
     def n_correlates(self) -> int:
@@ -88,9 +93,21 @@ def load_corpus(path) -> Corpus:
 
     Correlates with the same normalized token sequence share one id. Rejects
     findings whose r is outside [-1, 1], whose correlates coincide, or whose
-    correlate text normalizes to an empty token list.
+    correlate text normalizes to an empty token list. Each distinct raw text
+    is normalized once.
     """
     interner = _CorrelateInterner()
+    id_of: dict[str, int] = {}  # raw text -> correlate id
+
+    def correlate_id(text: str, lineno: int) -> int:
+        cid = id_of.get(text)
+        if cid is None:
+            tokens = tuple(normalize(text))
+            if not tokens:
+                raise CorpusError(f"{path}:{lineno}: correlate text normalizes to empty token list")
+            cid = id_of[text] = interner.intern(text, tokens)
+        return cid
+
     findings: list[Finding] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -111,12 +128,8 @@ def load_corpus(path) -> Corpus:
                 raise CorpusError(f"{path}:{lineno}: unparseable r {r_s!r}") from None
             if not -1.0 <= r <= 1.0:
                 raise CorpusError(f"{path}:{lineno}: r = {r} outside [-1, 1]")
-            tokens_a = tuple(normalize(text_a))
-            tokens_b = tuple(normalize(text_b))
-            if not tokens_a or not tokens_b:
-                raise CorpusError(f"{path}:{lineno}: correlate text normalizes to empty token list")
-            id_a = interner.intern(text_a, tokens_a)
-            id_b = interner.intern(text_b, tokens_b)
+            id_a = correlate_id(text_a, lineno)
+            id_b = correlate_id(text_b, lineno)
             if id_a == id_b:
                 raise CorpusError(f"{path}:{lineno}: both correlates normalize to the same variable")
             findings.append(Finding(id_a, id_b, r, paper_id, year))

@@ -35,15 +35,13 @@ def build_table(corpus: Corpus, paper_ids: list[str], model,
     first paper). Cells with corpus findings are Reported (mean r over
     reports); every other off-diagonal cell is Predicted by the model.
     """
-    known_papers = {f.paper_id for f in corpus.findings}
     order: list[int] = []
     placed: set[int] = set()
     for pid in paper_ids:
-        if pid not in known_papers:
+        if pid not in corpus.paper_index:
             raise ValueError(f"unknown paper id {pid!r}")
-        for f in corpus.findings:
-            if f.paper_id != pid:
-                continue
+        for k in corpus.paper_index[pid]:
+            f = corpus.findings[k]
             for cid in (f.correlate_a, f.correlate_b):
                 if cid not in placed:
                     placed.add(cid)

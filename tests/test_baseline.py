@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrnet.baseline import baseline_predict, fit_baseline
-from corrnet.corpus import Corpus, Correlate, Finding
+from corrnet.corpus import Corpus, Correlate, Finding, split_corpus
 
 from conftest import random_corpus
 
@@ -109,3 +111,106 @@ def test_empty_train_set():
     corpus = make_corpus([(0, 1, 0.2)])
     with pytest.raises(ValueError):
         fit_baseline(corpus, [])
+
+
+# The per-finding loops fit_baseline and baseline_predict replaced: every
+# sum adds r in the order of the training indices.
+def reference_fit(corpus, train_indices):
+    per_correlate, per_pair, total = {}, {}, 0.0
+    for i in train_indices:
+        f = corpus.findings[i]
+        total += f.r
+        for cid in (f.correlate_a, f.correlate_b):
+            s, c = per_correlate.get(cid, (0.0, 0))
+            per_correlate[cid] = (s + f.r, c + 1)
+        key = (min(f.correlate_a, f.correlate_b), max(f.correlate_a, f.correlate_b))
+        s, c = per_pair.get(key, (0.0, 0))
+        per_pair[key] = (s + f.r, c + 1)
+    return per_correlate, per_pair, total / len(train_indices)
+
+
+def reference_predict(reference, mode, c_i, c_j):
+    per_correlate, per_pair, global_mean = reference
+    seen = [per_correlate.get(c) for c in (c_i, c_j)]
+    if seen == [None, None]:
+        return global_mean
+    if mode == "average":
+        means = [s / c for s, c in filter(None, seen)]
+        return sum(means) / len(means)
+    (s_i, n_i), (s_j, n_j) = (entry or (0.0, 0) for entry in seen)
+    s_ij, n_ij = per_pair.get((min(c_i, c_j), max(c_i, c_j)), (0.0, 0))
+    return (s_i + s_j - s_ij) / (n_i + n_j - n_ij)
+
+
+def assert_matches_reference(corpus, train, n_correlates, exact):
+    reference = reference_fit(corpus, train)
+    for mode in ("pool", "average"):
+        model = fit_baseline(corpus, train, mode=mode)
+        # One id past the corpus's correlates has no training coverage.
+        for i in range(n_correlates + 1):
+            for j in range(n_correlates + 1):
+                if i == j:
+                    continue
+                got, want = baseline_predict(model, i, j), reference_predict(reference, mode, i, j)
+                if exact:
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, abs=1e-12)
+        if exact:
+            assert model.per_correlate == reference[0]
+            assert model.global_mean == reference[2]
+
+
+# Small corpora over few correlates, so that pairs are reported several times;
+# r has 6 decimals, as in a findings file, so sums round in each order differently.
+reported_rows = st.integers(2, 6).flatmap(lambda n_c: st.tuples(
+    st.just(n_c),
+    st.lists(st.tuples(st.integers(0, n_c - 1), st.integers(0, n_c - 1),
+                       st.integers(-10**6, 10**6).map(lambda micro_r: micro_r / 1e6))
+             .filter(lambda row: row[0] != row[1]),
+             min_size=1, max_size=30)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=reported_rows, pick=st.data())
+def test_matches_reference_loop(data, pick):
+    n_c, rows = data
+    corpus = make_corpus(rows)
+    indices = st.integers(0, len(rows) - 1)
+    # A split_corpus-style train set: sorted and unique, so sums match exactly.
+    train = sorted(pick.draw(st.sets(indices, min_size=1)))
+    assert_matches_reference(corpus, train, n_c, exact=True)
+    # Any other index list: every occurrence counts, in any order.
+    train = pick.draw(st.lists(indices, min_size=1, max_size=40))
+    assert_matches_reference(corpus, train, n_c, exact=False)
+
+
+def test_split_corpus_indices_match_reference_exactly():
+    corpus = random_corpus(np.random.default_rng(4), n_correlates=12, n_findings=400)
+    assert_matches_reference(corpus, split_corpus(corpus, 0.8, seed=1).train_indices, 12,
+                             exact=True)
+
+
+def test_repeated_index_counts_every_occurrence():
+    corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4), (1, 2, 0.7)])
+    model = fit_baseline(corpus, [0, 0, 1])
+    assert model.per_correlate[0] == pytest.approx((0.8, 3))
+    assert model.global_mean == pytest.approx(0.8 / 3)
+    # Findings with 0 or 1: 0.2 twice and 0.4 once; the pair's own reports count once each.
+    assert baseline_predict(model, 0, 1) == pytest.approx(0.8 / 3)
+    assert_matches_reference(corpus, [2, 0, 0, 1, 2, 2], 3, exact=False)
+
+
+def test_unsorted_indices():
+    rng = np.random.default_rng(3)
+    corpus = random_corpus(rng, n_correlates=6, n_findings=30)
+    train = [int(i) for i in rng.permutation(30)[:20]]
+    assert train != sorted(train)
+    assert_matches_reference(corpus, train, 6, exact=False)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_index_outside_corpus(bad):
+    corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4)])
+    with pytest.raises(ValueError, match=f"train index {bad} outside the corpus's 2 findings"):
+        fit_baseline(corpus, [0, bad])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corrnet.corpus import (CorpusError, corpus_stats, generate_synthetic,
-                            load_corpus, save_corpus, split_corpus,
+from corrnet import corpus as corpus_mod
+from corrnet.corpus import (Corpus, Correlate, CorpusError, Finding, corpus_stats,
+                            generate_synthetic, load_corpus, save_corpus, split_corpus,
                             untested_fraction)
 from corrnet.embeddings import random_table
 from corrnet.textnorm import normalize
@@ -125,6 +126,101 @@ def test_pair_index_covers_findings(demo_corpus):
         for i in idx:
             f = demo_corpus.findings[i]
             assert {f.correlate_a, f.correlate_b} == {a, b}
+
+
+def test_indexes_are_derived_from_findings():
+    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(3)}
+    findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(2, 1, 0.2, "pB", 2010),
+                Finding(1, 0, 0.3, "pA", 2011)]
+    corpus = Corpus(correlates, findings)
+    assert corpus.pair_index == {(0, 1): [0, 2], (1, 2): [1]}
+    assert corpus.paper_index == {"pA": [0, 2], "pB": [1]}
+    with pytest.raises(TypeError):
+        Corpus(correlates, findings, {(0, 1): [0]})
+
+
+# Reference loader: normalizes both texts of every line and interns the
+# tokens, the way load_corpus did before it normalized each text once.
+def load_per_line(path):
+    by_tokens, correlates, findings = {}, {}, []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            paper_id, year, text_a, text_b, r = line.split("\t")
+            ids = []
+            for text in (text_a, text_b):
+                tokens = tuple(normalize(text))
+                if tokens not in by_tokens:
+                    by_tokens[tokens] = len(correlates)
+                    correlates[len(correlates)] = Correlate(len(correlates), text, tokens)
+                ids.append(by_tokens[tokens])
+            findings.append(Finding(ids[0], ids[1], float(r), paper_id, int(year)))
+    return Corpus(correlates, findings)
+
+
+# Texts are a few base phrases in case and punctuation variants that all
+# normalize to the base phrase's tokens, so texts repeat verbatim and as
+# variants; the two texts of a row come from different base phrases.
+BASE_PHRASES = ["job satisfaction", "age", "self-esteem", "worker's income", "gdp growth"]
+
+
+def phrase_variant(base):
+    return st.tuples(st.sampled_from([str.lower, str.upper, str.title]),
+                     st.sampled_from(["", "(", "  ", "*"]),
+                     st.sampled_from(["", "!", ")", " ?", "."])
+                     ).map(lambda v: v[1] + v[0](base) + v[2])
+
+
+variant_rows = st.lists(
+    st.tuples(st.sampled_from(["p1", "p2", "p3"]), st.integers(1990, 2020),
+              st.lists(st.sampled_from(BASE_PHRASES), min_size=2, max_size=2, unique=True)
+              .flatmap(lambda ab: st.tuples(phrase_variant(ab[0]), phrase_variant(ab[1]))),
+              st.integers(-10**6, 10**6)),
+    min_size=1, max_size=25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=variant_rows)
+def test_load_matches_per_line_reference(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("variants") / "c.tsv"
+    with open(path, "w", encoding="utf-8") as fh:
+        for paper, year, (text_a, text_b), micro_r in rows:
+            fh.write("%s\t%d\t%s\t%s\t%.6f\n" % (paper, year, text_a, text_b, micro_r / 1e6))
+    loaded = load_corpus(path)
+    assert loaded == load_per_line(path)
+    first_text = {}
+    for _, _, texts, _ in rows:
+        for text in texts:
+            first_text.setdefault(tuple(normalize(text)), text)
+    assert {c.raw_text for c in loaded.correlates.values()} == set(first_text.values())
+
+
+def test_empty_text_on_two_lines_names_the_first(tmp_path):
+    path = write(tmp_path, [
+        "p1\t2010\tAge\tIncome\t0.1",
+        "p1\t2010\t???\tIncome\t0.2",
+        "p2\t2011\tAge\t???\t0.3",
+    ])
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}:2: correlate text normalizes to empty token list"
+
+
+def test_normalizes_each_distinct_text_once(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(corpus_mod, "normalize", lambda raw: calls.append(raw) or normalize(raw))
+    path = write(tmp_path, [
+        "p1\t2010\tAge\tIncome\t0.1",
+        "p1\t2010\tIncome\tAge\t0.2",
+        "p2\t2011\tage!\tIncome\t0.3",
+        "p2\t2011\tAge\tTenure\t0.4",
+    ])
+    corpus = load_corpus(path)
+    assert sorted(calls) == ["Age", "Income", "Tenure", "age!"]
+    assert corpus.n_correlates == 3
+    assert corpus.correlates[corpus.findings[2].correlate_a].raw_text == "Age"
 
 
 class TestSplit:

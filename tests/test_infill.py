@@ -6,7 +6,8 @@ from corrnet.corpus import Corpus, Correlate, Finding
 from corrnet.ensemble import Ensemble
 from corrnet.infill import (KIND_DIAGONAL, KIND_PREDICTED, KIND_REPORTED,
                             build_table, export_table)
-from corrnet.neural import init_params
+from corrnet.neural import init_params, predict
+from corrnet.training import embed_pairs
 
 from conftest import random_corpus
 
@@ -94,8 +95,54 @@ def test_encodes_each_correlate_once_per_member(synth_vocab, monkeypatch):
 
 
 def test_unknown_paper(model, synth_vocab):
-    with pytest.raises(ValueError, match="pZ"):
-        build_table(two_paper_corpus(), ["pZ"], model, synth_vocab)
+    for papers in (["pZ"], ["pA", "pZ"]):
+        with pytest.raises(ValueError, match="unknown paper id 'pZ'"):
+            build_table(two_paper_corpus(), papers, model, synth_vocab)
+
+
+def scan_table(corpus, paper_ids, model, table):
+    """Correlate order and values from scans over every finding."""
+    order = []
+    for pid in paper_ids:
+        for f in corpus.findings:
+            if f.paper_id == pid:
+                order += [c for c in (f.correlate_a, f.correlate_b) if c not in order]
+    n = len(order)
+    values = np.full((n, n), np.nan)
+    unreported = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            rs = [f.r for f in corpus.findings
+                  if {f.correlate_a, f.correlate_b} == {order[i], order[j]}]
+            if rs:
+                values[i, j] = values[j, i] = np.mean(rs)
+            else:
+                unreported.append((i, j))
+    pairs = [(order[i], order[j]) for i, j in unreported]
+    means = predict([model], embed_pairs(corpus, pairs, table), pairs).mean(axis=1)
+    for (i, j), val in zip(unreported, means):
+        values[i, j] = values[j, i] = val
+    return order, values
+
+
+def test_interleaved_papers_match_scan(model, synth_vocab):
+    correlates = {i: Correlate(i, f"var {i}", (f"var{i}",)) for i in range(6)}
+    findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(2, 3, 0.2, "pB", 2010),
+                Finding(4, 1, 0.3, "pA", 2010), Finding(5, 2, 0.4, "pC", 2010),
+                Finding(3, 0, 0.5, "pB", 2010), Finding(1, 0, 0.6, "pA", 2010)]
+    corpus = Corpus(correlates, findings)
+    rng = np.random.default_rng(6)
+    cases = [(corpus, ["pB", "pA"]), (corpus, ["pC", "pA", "pB"])]
+    for _ in range(10):
+        corpus = random_corpus(rng, n_correlates=8, n_findings=16)
+        papers = sorted({f.paper_id for f in corpus.findings})
+        cases.append((corpus, [str(p) for p in rng.permutation(papers)]))
+    for corpus, papers in cases:
+        ct = build_table(corpus, papers, model, synth_vocab)
+        order, values = scan_table(corpus, papers, model, synth_vocab)
+        assert ct.correlate_order == order
+        np.testing.assert_array_equal(ct.values, values)
+    assert build_table(*cases[0], model, synth_vocab).correlate_order == [2, 3, 0, 1, 4]
 
 
 def read_tsv(path):
