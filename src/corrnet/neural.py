@@ -123,11 +123,59 @@ def _gru_forward(seq, w) -> _SeqTrace:
     return _SeqTrace(x, h, zr, c)
 
 
+# Rows per block of the inference encoder and head: bounds the padded input
+# projections to (L, _BLOCK, 3h) whatever the number of correlates.
+_BLOCK = 32
+
+
+def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m @ a[i] for every row i, one gemv per row: m.T is a view, so each row
+    makes the same BLAS call, with the same bits, as m @ a[i] alone."""
+    return np.matmul(a[:, None, :], m.T)[:, 0]
+
+
+def _encode_block(xs, w_in, b_in, u_zr, u_c) -> np.ndarray:
+    """Final states of up to _BLOCK sequences sorted longest first, so the
+    rows still running at step t are a prefix. Each sequence's input
+    projections and every elementwise step are _gru_forward's own."""
+    n = len(u_c)
+    a = np.zeros((len(xs[0]), len(xs), 3 * n))
+    for i, x in enumerate(xs):
+        a[:len(x), i] = x @ w_in.T + b_in
+    lengths = np.array([len(x) for x in xs])
+    h = np.zeros((len(xs), n))
+    for t, k in enumerate((lengths[:, None] > np.arange(len(a))).sum(axis=0)):
+        h_t, a_t = h[:k], a[t, :k]
+        zr = _sigmoid(a_t[:, :2 * n] + _rows(h_t, u_zr))
+        c = np.tanh(a_t[:, 2 * n:] + _rows(zr[:, n:] * h_t, u_c))
+        h[:k] = h_t + zr[:, :n] * (c - h_t)
+    return h
+
+
+def _inputs(seqs) -> list[np.ndarray]:
+    """Each sequence as an (L, d) float64 array; an empty one fails first."""
+    if any(len(seq) == 0 for seq in seqs):
+        raise ValueError("cannot encode an empty sequence")
+    return [np.asarray(seq, dtype=np.float64) for seq in seqs]
+
+
+def _encode(xs, w) -> np.ndarray:
+    """Final hidden states of _inputs arrays, shape (len(xs), h), equal bit
+    for bit to _gru_forward(x, w).h[-1] for each x."""
+    order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
+    kernels = (np.concatenate([w["w_z"], w["w_r"], w["w_c"]]),
+               np.concatenate([w["b_z"], w["b_r"], w["b_c"]]),
+               np.concatenate([w["u_z"], w["u_r"]]), w["u_c"])
+    out = np.empty((len(xs), len(w["b_z"])))
+    for s in range(0, len(order), _BLOCK):
+        block = order[s:s + _BLOCK]
+        out[block] = _encode_block([xs[i] for i in block], *kernels)
+    return out
+
+
 def encode(seq, params: ModelParams) -> np.ndarray:
     """Final hidden state of the recurrent cell over a non-empty sequence."""
-    if len(seq) == 0:
-        raise ValueError("cannot encode an empty sequence")
-    return _gru_forward(seq, params.weights).h[-1]
+    return _encode(_inputs([seq]), params.weights)[0]
 
 
 def _head(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, float]:
@@ -147,17 +195,30 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     return ForwardTrace(steps_a, steps_b, e_a, e_b, combined, u1, r_hat)
 
 
+def _score(e_a: np.ndarray, e_b: np.ndarray, w) -> np.ndarray:
+    """_head's prediction for each row pair of e_a, e_b, bit for bit."""
+    combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)], axis=1)
+    u1 = np.tanh(_rows(combined, w["head_w1"]) + w["head_b1"])
+    return np.tanh(_rows(u1, w["head_w2"]) + w["head_b2"])[:, 0]
+
+
 def predict(models, seqs, pairs) -> np.ndarray:
     """Every model's prediction for every pair, shape (len(pairs), len(models)).
 
     Each correlate named in pairs is encoded once per model from seqs[c]; each
-    pair is scored alone by predict_pair's head, so values equal its r_hat bit
-    for bit, in either order and whatever else is in the call."""
+    pair is scored by predict_pair's head, row by row, so values equal its
+    r_hat bit for bit, in either order and whatever else is in the call."""
     ids = list(dict.fromkeys(c for pair in pairs for c in pair))
+    xs = _inputs([seqs[c] for c in ids])
+    row = {c: i for i, c in enumerate(ids)}
+    ia = np.array([row[a] for a, _ in pairs], dtype=np.intp)
+    ib = np.array([row[b] for _, b in pairs], dtype=np.intp)
     out = np.empty((len(pairs), len(models)))
     for k, params in enumerate(models):
-        enc = {c: encode(seqs[c], params) for c in ids}
-        out[:, k] = [_head(enc[a], enc[b], params.weights)[2] for a, b in pairs]
+        w = params.weights
+        enc = _encode(xs, w)
+        for s in range(0, len(pairs), _BLOCK):
+            out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]], w)
     return out
 
 

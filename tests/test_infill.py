@@ -85,13 +85,13 @@ def test_ensemble_model(synth_vocab):
 
 def test_encodes_each_correlate_once_per_member(synth_vocab, monkeypatch):
     # Every one of the 4 correlates is in a predicted cell; 2 members.
-    calls = []
-    gru_forward = neural._gru_forward
-    monkeypatch.setattr(neural, "_gru_forward",
-                        lambda seq, w: calls.append(1) or gru_forward(seq, w))
+    encoded = []
+    encode_block = neural._encode_block
+    monkeypatch.setattr(neural, "_encode_block",
+                        lambda xs, *kernels: encoded.extend(xs) or encode_block(xs, *kernels))
     members = [init_params(synth_vocab.dim, 4, 3, seed=k) for k in range(2)]
     build_table(two_paper_corpus(), ["pA", "pB"], Ensemble(members, [0, 1], False), synth_vocab)
-    assert len(calls) == 4 * 2
+    assert len(encoded) == 4 * 2
 
 
 def test_unknown_paper(model, synth_vocab):

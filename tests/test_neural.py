@@ -4,13 +4,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrnet import neural
 from corrnet.neural import (Ensemble, ModelParams, backward, encode, gradcheck, init_params,
                             load_checkpoint, predict, predict_pair, save_checkpoint,
                             zero_grads)
+from corrnet.textnorm import MAX_TOKENS
 
 
 def sigmoid(x):
@@ -87,6 +88,24 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode([], init_params(2, 2, 2))
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
+           length=st.integers(1, MAX_TOKENS))
+    @example(seed=0, d=300, h=64, length=MAX_TOKENS)
+    def test_equals_training_encoder_bitwise(self, seed, d, h, length):
+        p = perturbed_params(d, h, 2, seed)
+        seq = random_seq(np.random.default_rng(seed), d, length)
+        assert encode(seq, p).tobytes() == neural._gru_forward(seq, p.weights).h[-1].tobytes()
+
+
+def perturbed_params(d, h, m, seed):
+    """init_params' Glorot weights, every entry and bias moved by a draw scaled
+    by fan-in, so that wide inputs do not saturate every gate to 0 or 1."""
+    p, rng = init_params(d, h, m, seed=seed), np.random.default_rng(seed)
+    for w in p.weights.values():
+        w += 0.5 * rng.standard_normal(w.shape) / np.sqrt(w.shape[-1])
+    return p
+
 
 class TestPredictPair:
     def test_identical_sequences_zero_diff_block(self):
@@ -139,6 +158,41 @@ class TestPredict:
         batch = predict([p], seqs, pairs)
         for k in (0, 57, 199):
             assert predict([p], seqs, [pairs[k]])[0, 0] == batch[k, 0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
+           m=st.integers(1, 6), n=st.integers(70, 90), n_models=st.integers(1, 2))
+    @example(seed=0, d=300, h=64, m=32, n=70, n_models=1)
+    def test_blocks_equal_predict_pair_bitwise(self, seed, d, h, m, n, n_models):
+        # 70 or more correlates span at least three encoder blocks, of
+        # lengths 1 to MAX_TOKENS; pairs come in both orders and repeated.
+        rng = np.random.default_rng(seed)
+        models = [perturbed_params(d, h, m, seed + k) for k in range(n_models)]
+        lengths = rng.integers(1, MAX_TOKENS + 1, size=n)
+        lengths[:2] = 1, MAX_TOKENS
+        seqs = [random_seq(rng, d, int(length)) for length in lengths]
+        pairs = [(i, int(j)) for i, j in enumerate(rng.permutation(n))]
+        pairs += [(b, a) for a, b in pairs[:20]] + pairs[5:15]
+        got = predict(models, seqs, pairs)
+        for row, (a, b) in zip(got, pairs):
+            for value, p in zip(row, models):
+                assert value == predict_pair(seqs[a], seqs[b], p).r_hat
+
+    def test_no_pairs(self):
+        got = predict([init_params(3, 4, 2, seed=k) for k in range(3)], [], [])
+        assert got.shape == (0, 3)
+
+    def test_empty_sequence_rejected_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        seqs = [[]] + [random_seq(rng, 3, 4) for _ in range(40)]
+        calls = []
+        monkeypatch.setattr(neural, "_encode_block", lambda *args: calls.append(args))
+        for pairs in ([(0, 1)], [(k, k + 1) for k in range(1, 40)] + [(40, 0)]):
+            with pytest.raises(ValueError, match="^cannot encode an empty sequence$"):
+                predict([init_params(3, 4, 2)], seqs, pairs)
+        with pytest.raises(ValueError, match="^cannot encode an empty sequence$"):
+            encode([], init_params(3, 4, 2))
+        assert calls == []
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), len_a=st.integers(1, 6),
