@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -34,11 +35,14 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     bad = train[(train < 0) | (train >= len(findings))]
     if len(bad):
         raise ValueError(f"train index {bad[0]} outside the corpus's {len(findings)} findings")
-    rows = memoryview(train)  # yields Python ints without a per-finding list
+    # One list of the picked findings, whose fields 0, 1 and 2 (correlate_a,
+    # correlate_b, r) are read by position: no per-finding object is made
+    # that the cyclic collector would have to track.
+    picked = list(map(findings.__getitem__, train.tolist()))
     ids = np.empty(2 * n, dtype=np.int64)  # a0, b0, a1, b1, ...
-    ids[0::2] = np.fromiter((findings[i].correlate_a for i in rows), dtype=np.int64, count=n)
-    ids[1::2] = np.fromiter((findings[i].correlate_b for i in rows), dtype=np.int64, count=n)
-    r = np.fromiter((findings[i].r for i in rows), dtype=np.float64, count=n)
+    ids[0::2] = np.fromiter(map(itemgetter(0), picked), dtype=np.int64, count=n)
+    ids[1::2] = np.fromiter(map(itemgetter(1), picked), dtype=np.int64, count=n)
+    r = np.fromiter(map(itemgetter(2), picked), dtype=np.float64, count=n)
     # bincount and cumsum add in array order, so both match the sequential sums.
     sums = np.bincount(ids, weights=np.repeat(r, 2))
     counts = np.bincount(ids)

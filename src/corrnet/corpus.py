@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,15 +21,15 @@ class CorpusError(Exception):
     """Raised for malformed or degenerate findings files."""
 
 
-@dataclass(frozen=True)
-class Correlate:
+# The records are named tuples: immutable, and cheap to build by the hundred
+# thousand.
+class Correlate(NamedTuple):
     id: int
     raw_text: str
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     correlate_a: int
     correlate_b: int
     r: float
@@ -45,16 +46,25 @@ class Corpus:
     correlates: dict[int, Correlate]
     findings: list[Finding]
     # Derived from `findings`: finding indices, in finding order, per
-    # unordered correlate pair and per paper id.
-    pair_index: dict[tuple[int, int], list[int]] = field(init=False)
-    paper_index: dict[str, list[int]] = field(init=False)
+    # unordered correlate pair and per paper id. The values are tuples of
+    # ints, which the cyclic garbage collector stops tracking, so a
+    # paper-scale index adds nothing to later full collections.
+    pair_index: dict[tuple[int, int], tuple[int, ...]] = field(init=False)
+    paper_index: dict[str, tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
-        pair_index, paper_index = {}, {}
-        for i, f in enumerate(self.findings):
-            pair_index.setdefault(_pair_key(f.correlate_a, f.correlate_b), []).append(i)
-            paper_index.setdefault(f.paper_id, []).append(i)
-        self.pair_index, self.paper_index = pair_index, paper_index
+        # Most pairs are reported once, so a pair's first finding goes straight
+        # into a 1-tuple and only later reports of it are gathered in lists.
+        pairs, repeats, papers = {}, {}, {}
+        for i, (a, b, _, paper_id, _) in enumerate(self.findings):
+            key = (a, b) if a < b else (b, a)
+            if pairs.setdefault(key, (i,))[0] != i:
+                repeats.setdefault(key, []).append(i)
+            papers.setdefault(paper_id, []).append(i)
+        for key, idx in repeats.items():
+            pairs[key] += tuple(idx)
+        self.pair_index = pairs
+        self.paper_index = {key: tuple(idx) for key, idx in papers.items()}
 
     @property
     def n_correlates(self) -> int:
@@ -100,12 +110,11 @@ def load_corpus(path) -> Corpus:
     id_of: dict[str, int] = {}  # raw text -> correlate id
 
     def correlate_id(text: str, lineno: int) -> int:
-        cid = id_of.get(text)
-        if cid is None:
-            tokens = tuple(normalize(text))
-            if not tokens:
-                raise CorpusError(f"{path}:{lineno}: correlate text normalizes to empty token list")
-            cid = id_of[text] = interner.intern(text, tokens)
+        """The id of a text not seen before in this file."""
+        tokens = tuple(normalize(text))
+        if not tokens:
+            raise CorpusError(f"{path}:{lineno}: correlate text normalizes to empty token list")
+        cid = id_of[text] = interner.intern(text, tokens)
         return cid
 
     findings: list[Finding] = []
@@ -128,8 +137,12 @@ def load_corpus(path) -> Corpus:
                 raise CorpusError(f"{path}:{lineno}: unparseable r {r_s!r}") from None
             if not -1.0 <= r <= 1.0:
                 raise CorpusError(f"{path}:{lineno}: r = {r} outside [-1, 1]")
-            id_a = correlate_id(text_a, lineno)
-            id_b = correlate_id(text_b, lineno)
+            id_a = id_of.get(text_a)
+            if id_a is None:
+                id_a = correlate_id(text_a, lineno)
+            id_b = id_of.get(text_b)
+            if id_b is None:
+                id_b = correlate_id(text_b, lineno)
             if id_a == id_b:
                 raise CorpusError(f"{path}:{lineno}: both correlates normalize to the same variable")
             findings.append(Finding(id_a, id_b, r, paper_id, year))
@@ -166,8 +179,8 @@ def split_corpus(corpus: Corpus, train_fraction: float = 0.8, seed: int = 0) -> 
                          f"{n_train} train and {n - n_train} test; neither side may be empty")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    return Split(tuple(sorted(order[:n_train].tolist())),
-                 tuple(sorted(order[n_train:].tolist())), seed)
+    return Split(tuple(np.sort(order[:n_train]).tolist()),
+                 tuple(np.sort(order[n_train:]).tolist()), seed)
 
 
 def corpus_stats(corpus: Corpus) -> dict:

@@ -61,20 +61,24 @@ def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
     return Ensemble(members, seeds, bagging)
 
 
-def summarize_predictions(preds, pair: tuple[int, int] = (-1, -1)) -> EnsembleEstimate:
-    """Mean, sample standard deviation (divisor N-1), and 95% CI half-width
-    of a list of member predictions."""
+def summarize_rows(preds, pairs) -> list[EnsembleEstimate]:
+    """Mean, sample standard deviation (divisor K-1), and 95% CI half-width
+    of each row of an (n, K) array of member predictions; row i is pairs[i]."""
     preds = np.asarray(preds, dtype=np.float64)
-    n = len(preds)
-    mean = float(preds.mean())
-    sd = float(preds.std(ddof=1))
-    return EnsembleEstimate(pair, mean, sd, 1.96 * sd / math.sqrt(n))
+    means, sds = preds.mean(axis=1), preds.std(axis=1, ddof=1)
+    half_widths = 1.96 * sds / math.sqrt(preds.shape[1])
+    return list(map(EnsembleEstimate, pairs, means.tolist(), sds.tolist(), half_widths.tolist()))
+
+
+def summarize_predictions(preds, pair: tuple[int, int] = (-1, -1)) -> EnsembleEstimate:
+    """summarize_rows for one list of member predictions."""
+    return summarize_rows([preds], [pair])[0]
 
 
 def ensemble_estimate(ensemble: Ensemble, seq_a, seq_b,
                       pair: tuple[int, int] = (-1, -1)) -> EnsembleEstimate:
     """All-member prediction summary for one pair of embedded sequences."""
-    return summarize_predictions(predict(ensemble.members, [seq_a, seq_b], [(0, 1)])[0], pair)
+    return summarize_rows(predict(ensemble.members, [seq_a, seq_b], [(0, 1)]), [pair])[0]
 
 
 def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[tuple[int, int]]:
@@ -114,7 +118,7 @@ def qbc_search(ensemble: Ensemble, corpus: Corpus, table: EmbeddingTable,
         raise ValueError("top_fraction must be in (0, 1]")
     pairs = sample_untested_pairs(corpus, n_candidates, seed)
     preds = predict(ensemble.members, embed_pairs(corpus, pairs, table), pairs)
-    estimates = [summarize_predictions(row, pair) for row, pair in zip(preds, pairs)]
+    estimates = summarize_rows(preds, pairs)
     estimates.sort(key=lambda e: (-e.disagreement, e.pair))
     n_flagged = math.ceil(top_fraction * n_candidates)
     for e in estimates[:n_flagged]:

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -133,10 +134,61 @@ def test_indexes_are_derived_from_findings():
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(2, 1, 0.2, "pB", 2010),
                 Finding(1, 0, 0.3, "pA", 2011)]
     corpus = Corpus(correlates, findings)
-    assert corpus.pair_index == {(0, 1): [0, 2], (1, 2): [1]}
-    assert corpus.paper_index == {"pA": [0, 2], "pB": [1]}
+    assert corpus.pair_index == {(0, 1): (0, 2), (1, 2): (1,)}
+    assert corpus.paper_index == {"pA": (0, 2), "pB": (1,)}
     with pytest.raises(TypeError):
         Corpus(correlates, findings, {(0, 1): [0]})
+
+
+# The indexes as a dict of lists per key, filled in finding order.
+def index_reference(findings):
+    pairs, papers = {}, {}
+    for i, f in enumerate(findings):
+        key = (min(f.correlate_a, f.correlate_b), max(f.correlate_a, f.correlate_b))
+        pairs.setdefault(key, []).append(i)
+        papers.setdefault(f.paper_id, []).append(i)
+    return pairs, papers
+
+
+# Few correlates and papers, so pairs and papers repeat and interleave.
+finding_rows = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from(["pA", "pB", "pC"]))
+    .filter(lambda row: row[0] != row[1]),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=finding_rows)
+def test_indexes_match_reference(rows):
+    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(5)}
+    findings = [Finding(a, b, 0.1, paper, 2010) for a, b, paper in rows]
+    corpus = Corpus(correlates, findings)
+    pairs, papers = index_reference(findings)
+    # Same keys in the same (first-report) order, each with its indices in order.
+    assert list(corpus.pair_index.items()) == [(k, tuple(v)) for k, v in pairs.items()]
+    assert list(corpus.paper_index.items()) == [(k, tuple(v)) for k, v in papers.items()]
+
+
+def test_index_values_are_untracked_tuples(demo_corpus):
+    for index in (demo_corpus.pair_index, demo_corpus.paper_index):
+        assert all(type(idx) is tuple for idx in index.values())
+    gc.collect()
+    # A tuple of ints leaves the cyclic collector's care once it has been seen.
+    assert not any(gc.is_tracked(idx) for idx in demo_corpus.pair_index.values())
+    assert not any(gc.is_tracked(idx) for idx in demo_corpus.paper_index.values())
+
+
+def test_records_are_immutable_tuples(demo_corpus):
+    finding = demo_corpus.findings[0]
+    correlate = demo_corpus.correlates[finding.correlate_a]
+    with pytest.raises(AttributeError):
+        finding.r = 0.5
+    with pytest.raises(AttributeError):
+        correlate.tokens = ("x",)
+    assert finding == (finding.correlate_a, finding.correlate_b, 0.30, "p1", 2010)
+    assert correlate == (correlate.id, "Job satisfaction", ("job", "satisfaction"))
+    assert Finding(0, 1, 0.2, "p", 2010) == Finding(correlate_a=0, correlate_b=1, r=0.2,
+                                                     paper_id="p", year=2010)
 
 
 # Reference loader: normalizes both texts of every line and interns the
@@ -255,6 +307,20 @@ class TestSplit:
         with pytest.raises(ValueError) as exc:
             split_corpus(corpus, frac, seed=0)
         assert str(exc.value) == f"train_fraction = {frac} {message}; neither side may be empty"
+
+    @pytest.mark.parametrize("n", [3, 10, 997, 5000])
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 0.8])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_indices_match_sorted_list_reference(self, n, frac, seed):
+        findings = [Finding(0, 1, 0.0, "p", 2010)] * n
+        corpus = Corpus({0: Correlate(0, "a", ("a",)), 1: Correlate(1, "b", ("b",))}, findings)
+        n_train = int(math.floor(frac * n + 0.5))
+        order = np.random.default_rng(seed).permutation(n)
+        split = split_corpus(corpus, frac, seed)
+        # The expression split_corpus used before it sorted with np.sort.
+        assert split.train_indices == tuple(sorted(order[:n_train].tolist()))
+        assert split.test_indices == tuple(sorted(order[n_train:].tolist()))
+        assert all(type(i) is int for i in split.train_indices + split.test_indices)
 
     def test_corpus_scale_arithmetic(self):
         # 80% of the 170k-scale corpus, round-half-up.

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrnet import ensemble
 from corrnet.corpus import generate_synthetic, split_corpus
@@ -10,7 +12,7 @@ from corrnet.embeddings import embed_sequence
 from corrnet.ensemble import (Ensemble, EnsembleEstimate, disagreement_trend,
                               ensemble_estimate, qbc_search,
                               sample_untested_pairs, summarize_predictions,
-                              train_ensemble)
+                              summarize_rows, train_ensemble)
 from corrnet.neural import init_params, predict_pair
 from corrnet.stats import DegenerateDataError
 from corrnet.training import TrainConfig, train
@@ -61,6 +63,21 @@ class TestSummary:
         est = summarize_predictions([0.25] * 5)
         assert est.disagreement == 0.0
         assert est.ci_half_width == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 30), k=st.integers(2, 59), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 0.1, 1.0, 10.0]))
+    def test_rows_equal_per_row_summaries_bitwise(self, n, k, seed, scale):
+        preds = np.tanh(scale * np.random.default_rng(seed).standard_normal((n, k)))
+        pairs = [(i, i + 1) for i in range(n)]
+        estimates = summarize_rows(preds, pairs)
+        assert [e.pair for e in estimates] == pairs
+        for est, row in zip(estimates, preds):
+            # The summary of one row that qbc_search used to compute per candidate.
+            sd = float(row.std(ddof=1))
+            want = (float(row.mean()), sd, 1.96 * sd / math.sqrt(len(row)))
+            assert (est.mean, est.disagreement, est.ci_half_width) == want
+            assert summarize_predictions(row.tolist(), est.pair) == est
 
 
 class TestEstimate:
