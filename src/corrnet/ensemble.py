@@ -70,11 +70,6 @@ def summarize_rows(preds, pairs) -> list[EnsembleEstimate]:
     return list(map(EnsembleEstimate, pairs, means.tolist(), sds.tolist(), half_widths.tolist()))
 
 
-def summarize_predictions(preds, pair: tuple[int, int] = (-1, -1)) -> EnsembleEstimate:
-    """summarize_rows for one list of member predictions."""
-    return summarize_rows([preds], [pair])[0]
-
-
 def ensemble_estimate(ensemble: Ensemble, seq_a, seq_b,
                       pair: tuple[int, int] = (-1, -1)) -> EnsembleEstimate:
     """All-member prediction summary for one pair of embedded sequences."""

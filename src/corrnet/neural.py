@@ -106,26 +106,17 @@ class ForwardTrace:
     r_hat: float
 
 
-def _gru_forward(seq, w) -> _SeqTrace:
-    """Input projections of all steps in one GEMM; the loop adds the recurrence."""
-    x = np.asarray(seq, dtype=np.float64)
-    n = len(w["b_z"])
-    a = (x @ np.concatenate([w["w_z"], w["w_r"], w["w_c"]]).T
-         + np.concatenate([w["b_z"], w["b_r"], w["b_c"]]))
-    a_zr, a_c = a[:, :2 * n], a[:, 2 * n:]
-    u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
-    h, zr, c = np.zeros((len(x) + 1, n)), np.empty((len(x), 2 * n)), np.empty((len(x), n))
-    for t in range(len(x)):
-        h_t, zr_t, c_t = h[t], zr[t], c[t]
-        zr_t[:] = _sigmoid(a_zr[t] + u_zr @ h_t)
-        np.tanh(a_c[t] + u_c @ (zr_t[n:] * h_t), out=c_t)
-        h[t + 1] = h_t + zr_t[:n] * (c_t - h_t)
-    return _SeqTrace(x, h, zr, c)
-
-
-# Rows per block of the inference encoder and head: bounds the padded input
+# Rows per block of predict's encoder and head: bounds the padded input
 # projections to (L, _BLOCK, 3h) whatever the number of correlates.
 _BLOCK = 32
+
+
+def _kernels(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stacked input kernel [w_z; w_r; w_c], its bias, and the recurrent
+    kernels [u_z; u_r] and u_c."""
+    return (np.concatenate([w["w_z"], w["w_r"], w["w_c"]]),
+            np.concatenate([w["b_z"], w["b_r"], w["b_c"]]),
+            np.concatenate([w["u_z"], w["u_r"]]), w["u_c"])
 
 
 def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -134,10 +125,12 @@ def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], m.T)[:, 0]
 
 
-def _encode_block(xs, w_in, b_in, u_zr, u_c) -> np.ndarray:
+def _encode_block(xs, w_in, b_in, u_zr, u_c, hs=None, zrs=None, cs=None) -> np.ndarray:
     """Final states of up to _BLOCK sequences sorted longest first, so the
-    rows still running at step t are a prefix. Each sequence's input
-    projections and every elementwise step are _gru_forward's own."""
+    rows still running at step t are a prefix; each row's bits do not depend
+    on the other rows. Given hs (L + 1, B, h) with hs[0] zero, zrs (L, B, 2h)
+    and cs (L, B, h), step t's starting state, gates [z; r] and candidate of
+    each running row are also written into hs[t], zrs[t] and cs[t]."""
     n = len(u_c)
     a = np.zeros((len(xs[0]), len(xs), 3 * n))
     for i, x in enumerate(xs):
@@ -149,23 +142,35 @@ def _encode_block(xs, w_in, b_in, u_zr, u_c) -> np.ndarray:
         zr = _sigmoid(a_t[:, :2 * n] + _rows(h_t, u_zr))
         c = np.tanh(a_t[:, 2 * n:] + _rows(zr[:, n:] * h_t, u_c))
         h[:k] = h_t + zr[:, :n] * (c - h_t)
+        if hs is not None:
+            zrs[t, :k], cs[t, :k], hs[t + 1, :k] = zr, c, h[:k]
     return h
 
 
-def _inputs(seqs) -> list[np.ndarray]:
-    """Each sequence as an (L, d) float64 array; an empty one fails first."""
+def _inputs(seqs, d: int) -> list[np.ndarray]:
+    """Each sequence as an (L, d) float64 array. An empty sequence, a ragged
+    one, or one whose vectors are not d wide fails before any encoding."""
     if any(len(seq) == 0 for seq in seqs):
         raise ValueError("cannot encode an empty sequence")
-    return [np.asarray(seq, dtype=np.float64) for seq in seqs]
+    xs = []
+    for seq in seqs:
+        try:
+            x = np.asarray(seq, dtype=np.float64)
+        except ValueError:  # vectors of different widths
+            x = None
+        if x is None or x.shape[1:] != (d,):
+            widths = "/".join(str(w) for w in sorted({np.size(v) for v in seq}))
+            raise ValueError(f"cannot encode vectors of width {widths} "
+                             f"with a model of input width d={d}")
+        xs.append(x)
+    return xs
 
 
 def _encode(xs, w) -> np.ndarray:
-    """Final hidden states of _inputs arrays, shape (len(xs), h), equal bit
-    for bit to _gru_forward(x, w).h[-1] for each x."""
+    """Final hidden states of _inputs arrays, shape (len(xs), h): each row
+    equals predict_pair's final state for that sequence bit for bit."""
     order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
-    kernels = (np.concatenate([w["w_z"], w["w_r"], w["w_c"]]),
-               np.concatenate([w["b_z"], w["b_r"], w["b_c"]]),
-               np.concatenate([w["u_z"], w["u_r"]]), w["u_c"])
+    kernels = _kernels(w)
     out = np.empty((len(xs), len(w["b_z"])))
     for s in range(0, len(order), _BLOCK):
         block = order[s:s + _BLOCK]
@@ -175,31 +180,35 @@ def _encode(xs, w) -> np.ndarray:
 
 def encode(seq, params: ModelParams) -> np.ndarray:
     """Final hidden state of the recurrent cell over a non-empty sequence."""
-    return _encode(_inputs([seq]), params.weights)[0]
+    return _encode(_inputs([seq], params.d), params.weights)[0]
 
 
-def _head(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, float]:
-    """Head input, hidden activation and prediction; symmetric in e_a, e_b bit for bit."""
-    combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)])
-    u1 = np.tanh(w["head_w1"] @ combined + w["head_b1"])
-    return combined, u1, float(np.tanh(w["head_w2"] @ u1 + w["head_b2"])[0])
+def _score(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Head input, hidden activation and prediction for each row pair of e_a,
+    e_b; symmetric in e_a, e_b bit for bit."""
+    combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)], axis=1)
+    u1 = np.tanh(_rows(combined, w["head_w1"]) + w["head_b1"])
+    return combined, u1, np.tanh(_rows(u1, w["head_w2"]) + w["head_b2"])[:, 0]
 
 
 def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
-    """Forward pass for a pair of embedded sequences; the prediction is r_hat.
-    Symmetric by construction: both orders produce bit-identical output."""
+    """Forward pass for a pair of embedded sequences, with the trace backward
+    needs; the prediction is r_hat. Both sequences run as one 2-row block of
+    predict's encoder and are scored by its head, so r_hat equals predict's
+    value bit for bit, and both orders give bit-identical output."""
     w = params.weights
-    steps_a, steps_b = _gru_forward(seq_a, w), _gru_forward(seq_b, w)
+    xs = _inputs([seq_a, seq_b], params.d)
+    # The block rows of a and b, longest first; a swap is its own inverse.
+    rows = (1, 0) if len(xs[1]) > len(xs[0]) else (0, 1)
+    n, length = params.h, max(map(len, xs))
+    hs, zrs, cs = (np.zeros((length + 1, 2, n)), np.empty((length, 2, 2 * n)),
+                   np.empty((length, 2, n)))
+    _encode_block([xs[i] for i in rows], *_kernels(w), hs, zrs, cs)
+    steps_a, steps_b = (_SeqTrace(x, hs[:len(x) + 1, i], zrs[:len(x), i], cs[:len(x), i])
+                        for x, i in zip(xs, rows))
     e_a, e_b = steps_a.h[-1], steps_b.h[-1]
-    combined, u1, r_hat = _head(e_a, e_b, w)
-    return ForwardTrace(steps_a, steps_b, e_a, e_b, combined, u1, r_hat)
-
-
-def _score(e_a: np.ndarray, e_b: np.ndarray, w) -> np.ndarray:
-    """_head's prediction for each row pair of e_a, e_b, bit for bit."""
-    combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)], axis=1)
-    u1 = np.tanh(_rows(combined, w["head_w1"]) + w["head_b1"])
-    return np.tanh(_rows(u1, w["head_w2"]) + w["head_b2"])[:, 0]
+    combined, u1, r_hat = _score(e_a[None], e_b[None], w)
+    return ForwardTrace(steps_a, steps_b, e_a, e_b, combined[0], u1[0], float(r_hat[0]))
 
 
 def predict(models, seqs, pairs) -> np.ndarray:
@@ -209,7 +218,7 @@ def predict(models, seqs, pairs) -> np.ndarray:
     pair is scored by predict_pair's head, row by row, so values equal its
     r_hat bit for bit, in either order and whatever else is in the call."""
     ids = list(dict.fromkeys(c for pair in pairs for c in pair))
-    xs = _inputs([seqs[c] for c in ids])
+    xs = _inputs([seqs[c] for c in ids], models[0].d)
     row = {c: i for i, c in enumerate(ids)}
     ia = np.array([row[a] for a, _ in pairs], dtype=np.intp)
     ib = np.array([row[b] for _, b in pairs], dtype=np.intp)
@@ -218,7 +227,7 @@ def predict(models, seqs, pairs) -> np.ndarray:
         w = params.weights
         enc = _encode(xs, w)
         for s in range(0, len(pairs), _BLOCK):
-            out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]], w)
+            out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]], w)[2]
     return out
 
 

@@ -12,7 +12,7 @@ from corrnet.baseline import baseline_predict, fit_baseline
 from corrnet.cli import main
 from corrnet.corpus import generate_synthetic, split_corpus, untested_fraction
 from corrnet.embeddings import random_table
-from corrnet.ensemble import qbc_search, summarize_predictions, train_ensemble
+from corrnet.ensemble import qbc_search, summarize_rows, train_ensemble
 from corrnet.infill import KIND_REPORTED, build_table
 from corrnet.neural import gradcheck, init_params, load_checkpoint, predict_pair
 from corrnet.stats import mann_whitney_u, pearson
@@ -135,7 +135,7 @@ def test_07_corpus_arithmetic():
 
 def test_08_ci_formula():
     delta = 0.1659 * math.sqrt(49 / 50)
-    est = summarize_predictions([-0.37 + delta] * 25 + [-0.37 - delta] * 25)
+    est = summarize_rows([[-0.37 + delta] * 25 + [-0.37 - delta] * 25], [(-1, -1)])[0]
     ok = (abs(est.disagreement - 0.1659) < 1e-12
           and abs(est.ci_half_width - 0.046) <= 1e-3)
     report(8, "ci-formula", ok, f"half-width {est.ci_half_width:.4f}")

@@ -11,8 +11,7 @@ from corrnet.corpus import generate_synthetic, split_corpus
 from corrnet.embeddings import embed_sequence
 from corrnet.ensemble import (Ensemble, EnsembleEstimate, disagreement_trend,
                               ensemble_estimate, qbc_search,
-                              sample_untested_pairs, summarize_predictions,
-                              summarize_rows, train_ensemble)
+                              sample_untested_pairs, summarize_rows, train_ensemble)
 from corrnet.neural import init_params, predict_pair
 from corrnet.stats import DegenerateDataError
 from corrnet.training import TrainConfig, train
@@ -45,7 +44,7 @@ def test_ensemble_needs_two_members():
 
 class TestSummary:
     def test_two_member_hand_arithmetic(self):
-        est = summarize_predictions([0.1, 0.3])
+        est = summarize_rows([[0.1, 0.3]], [(-1, -1)])[0]
         assert est.mean == pytest.approx(0.2)
         assert est.disagreement == pytest.approx(0.2 / math.sqrt(2), abs=1e-12)
         assert est.ci_half_width == pytest.approx(1.96 * est.disagreement / math.sqrt(2))
@@ -54,13 +53,13 @@ class TestSummary:
         # 50 values centered at -0.37 with sample sd exactly 0.1659
         delta = 0.1659 * math.sqrt(49 / 50)
         preds = [-0.37 + delta] * 25 + [-0.37 - delta] * 25
-        est = summarize_predictions(preds)
+        est = summarize_rows([preds], [(-1, -1)])[0]
         assert est.mean == pytest.approx(-0.37)
         assert est.disagreement == pytest.approx(0.1659, abs=1e-12)
         assert est.ci_half_width == pytest.approx(0.046, abs=1e-3)
 
     def test_identical_predictions(self):
-        est = summarize_predictions([0.25] * 5)
+        est = summarize_rows([[0.25] * 5], [(-1, -1)])[0]
         assert est.disagreement == 0.0
         assert est.ci_half_width == 0.0
 
@@ -77,7 +76,7 @@ class TestSummary:
             sd = float(row.std(ddof=1))
             want = (float(row.mean()), sd, 1.96 * sd / math.sqrt(len(row)))
             assert (est.mean, est.disagreement, est.ci_half_width) == want
-            assert summarize_predictions(row.tolist(), est.pair) == est
+            assert summarize_rows([row.tolist()], [est.pair])[0] == est
 
 
 class TestEstimate:

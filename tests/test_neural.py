@@ -8,10 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrnet import neural
+from corrnet.corpus import generate_synthetic
+from corrnet.embeddings import random_table
+from corrnet.ensemble import qbc_search
+from corrnet.infill import build_table
 from corrnet.neural import (Ensemble, ModelParams, backward, encode, gradcheck, init_params,
                             load_checkpoint, predict, predict_pair, save_checkpoint,
                             zero_grads)
 from corrnet.textnorm import MAX_TOKENS
+from corrnet.training import evaluate
 
 
 def sigmoid(x):
@@ -88,14 +93,34 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode([], init_params(2, 2, 2))
 
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
-           length=st.integers(1, MAX_TOKENS))
-    @example(seed=0, d=300, h=64, length=MAX_TOKENS)
-    def test_equals_training_encoder_bitwise(self, seed, d, h, length):
-        p = perturbed_params(d, h, 2, seed)
-        seq = random_seq(np.random.default_rng(seed), d, length)
-        assert encode(seq, p).tobytes() == neural._gru_forward(seq, p.weights).h[-1].tobytes()
+
+def reference_gru(seq, w):
+    """One sequence's GRU pass, step by step: every step's input projections in
+    one GEMM, then matrix-vector products with the stacked recurrent kernels."""
+    x = np.asarray(seq, dtype=np.float64)
+    n = len(w["b_z"])
+    a = (x @ np.concatenate([w["w_z"], w["w_r"], w["w_c"]]).T
+         + np.concatenate([w["b_z"], w["b_r"], w["b_c"]]))
+    a_zr, a_c = a[:, :2 * n], a[:, 2 * n:]
+    u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
+    h, zr, c = np.zeros((len(x) + 1, n)), np.empty((len(x), 2 * n)), np.empty((len(x), n))
+    for t in range(len(x)):
+        h_t, zr_t, c_t = h[t], zr[t], c[t]
+        zr_t[:] = 0.5 * (1.0 + np.tanh(0.5 * (a_zr[t] + u_zr @ h_t)))
+        np.tanh(a_c[t] + u_c @ (zr_t[n:] * h_t), out=c_t)
+        h[t + 1] = h_t + zr_t[:n] * (c_t - h_t)
+    return x, h, zr, c
+
+
+def reference_pair(seq_a, seq_b, w):
+    """Each sequence's reference_gru pass, then the head on the final states
+    with one matrix-vector product per layer."""
+    steps_a, steps_b = reference_gru(seq_a, w), reference_gru(seq_b, w)
+    e_a, e_b = steps_a[1][-1], steps_b[1][-1]
+    combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)])
+    u1 = np.tanh(w["head_w1"] @ combined + w["head_b1"])
+    r_hat = float(np.tanh(w["head_w2"] @ u1 + w["head_b2"])[0])
+    return steps_a, steps_b, e_a, e_b, combined, u1, r_hat
 
 
 def perturbed_params(d, h, m, seed):
@@ -134,6 +159,33 @@ class TestPredictPair:
             b = random_seq(rng, 3, 2)
             r_hat = predict_pair(a, b, p).r_hat
             assert -1.0 <= r_hat <= 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
+           m=st.integers(1, 6), len_a=st.integers(1, MAX_TOKENS),
+           len_b=st.integers(1, MAX_TOKENS), same=st.booleans())
+    @example(seed=0, d=300, h=64, m=32, len_a=MAX_TOKENS, len_b=7, same=False)
+    @example(seed=1, d=5, h=4, m=3, len_a=9, len_b=9, same=False)
+    @example(seed=2, d=5, h=4, m=3, len_a=9, len_b=9, same=True)
+    def test_trace_equals_per_sequence_reference_bitwise(self, seed, d, h, m, len_a, len_b,
+                                                         same):
+        p = perturbed_params(d, h, m, seed)
+        rng = np.random.default_rng(seed)
+        a = random_seq(rng, d, len_a)
+        b = a if same else random_seq(rng, d, len_b)
+        for x, y in ((a, b), (b, a)):
+            trace = predict_pair(x, y, p)
+            steps_a, steps_b, e_a, e_b, combined, u1, r_hat = reference_pair(x, y, p.weights)
+            for got, want in ((trace.steps_a, steps_a), (trace.steps_b, steps_b)):
+                assert len(got) == len(want[0])
+                for field, array in zip((got.x, got.h, got.zr, got.c), want):
+                    assert field.shape == array.shape
+                    assert field.tobytes() == array.tobytes()
+            for got, want in ((trace.e_a, e_a), (trace.e_b, e_b),
+                              (trace.combined, combined), (trace.u1, u1)):
+                assert got.tobytes() == want.tobytes()
+            assert trace.r_hat == r_hat
+        assert encode(a, p).tobytes() == reference_gru(a, p.weights)[1][-1].tobytes()
 
 
 class TestPredict:
@@ -192,6 +244,42 @@ class TestPredict:
                 predict([init_params(3, 4, 2)], seqs, pairs)
         with pytest.raises(ValueError, match="^cannot encode an empty sequence$"):
             encode([], init_params(3, 4, 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("run", [
+        lambda m, seqs, corpus, table: predict([m], seqs, [(0, 1)]),
+        lambda m, seqs, corpus, table: predict([m], seqs, [(1, 2), (3, 0)]),
+        lambda m, seqs, corpus, table: predict_pair(seqs[1], seqs[0], m),
+        lambda m, seqs, corpus, table: encode(seqs[0], m),
+        lambda m, seqs, corpus, table: evaluate(m, corpus, [0, 1, 2], table),
+        lambda m, seqs, corpus, table: qbc_search(
+            Ensemble([m, init_params(3, 4, 2, seed=1)], [0, 1], False), corpus, table, 10, 0),
+        lambda m, seqs, corpus, table: build_table(corpus, sorted(corpus.paper_index), m, table),
+    ])
+    def test_vector_width_mismatch_rejected_before_any_work(self, monkeypatch, run):
+        # A d=3 model given 5-dim vectors: seqs[0] is 5 wide, the rest 3 wide.
+        rng = np.random.default_rng(9)
+        table = random_table(50, 5, seed=9)
+        corpus, _ = generate_synthetic(12, 20, table, seed=9)
+        seqs = [random_seq(rng, 5, 4)] + [random_seq(rng, 3, 4) for _ in range(3)]
+        calls = []
+        monkeypatch.setattr(neural, "_encode_block", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="^cannot encode vectors of width 5 with a model "
+                                             "of input width d=3$"):
+            run(init_params(3, 4, 2), seqs, corpus, table)
+        assert calls == []
+
+    def test_ragged_sequence_rejected_before_any_work(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        ragged = random_seq(rng, 3, 2) + random_seq(rng, 5, 1) + random_seq(rng, 2, 1)
+        calls = []
+        monkeypatch.setattr(neural, "_encode_block", lambda *args: calls.append(args))
+        message = "^cannot encode vectors of width 2/3/5 with a model of input width d=3$"
+        for run in (lambda p: predict([p], [random_seq(rng, 3, 3), ragged], [(0, 1)]),
+                    lambda p: predict_pair(random_seq(rng, 3, 3), ragged, p),
+                    lambda p: encode(ragged, p)):
+            with pytest.raises(ValueError, match=message):
+                run(init_params(3, 4, 2))
         assert calls == []
 
     @settings(max_examples=50, deadline=None)
