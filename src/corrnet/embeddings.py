@@ -7,6 +7,7 @@ header line, then one "<token> <v1> ... <vd>" line per word.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,67 +24,129 @@ class EmbeddingTable:
     mean_vector: np.ndarray
 
 
-def _is_header(fields: list[str]) -> bool:
+def _header(fields: list[str]) -> tuple[int, int] | None:
+    """(count, dim) if fields are a "<count> <dim>" header."""
     if len(fields) != 2:
-        return False
+        return None
     try:
-        int(fields[0]), int(fields[1])
+        return int(fields[0]), int(fields[1])
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTable:
     """Load a vector text file, optionally restricted to a token set.
 
-    The mean vector is computed over the loaded (post-filter) entries. A
-    loaded row with a nan or inf component, or whose token was already
-    loaded, is an error naming its line.
+    One streaming pass parses the loaded rows into one (V, d) float64 matrix,
+    and the mean vector is computed over them. Every row must be as wide as
+    the first, and a "<count> <dim>" header must match the rows, filtered or
+    not. A loaded row with an unparseable, nan or inf component, or whose
+    token was already loaded, is an error naming its line.
     """
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
+    index: dict[str, int] = {}  # each loaded token's line, in file order
+    header = dim = error = None
+    n_rows = 0
+
+    def rows():
+        """The component text of each loaded row. The first error seen here
+        ends the walk, so a bad row parsed before it is still reported first."""
+        nonlocal header, dim, error, n_rows
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                parts = line.split(None, 1)
+                if not parts:
+                    continue
+                if lineno == 1 and (header := _header(line.split())):
+                    continue
+                n_rows += 1
+                token, values = parts[0], parts[1] if len(parts) == 2 else ""
+                loaded = vocab_filter is None or token in vocab_filter
+                if dim is None:
+                    dim = len(values.split())
+                    if dim == 0:
+                        error = EmbeddingError(f"{path}:{lineno}: no vector components")
+                    elif header and header[1] != dim:
+                        error = EmbeddingError(f"{path}:1: header gives {header[1]} "
+                                               f"components, the vectors have {dim}")
+                # Width-check the rows loadtxt will not: those it never sees, and
+                # an empty one, which it would skip, shifting every later vector
+                # onto the wrong token. A duplicate's width error comes first.
+                elif not (loaded and values) or token in index:
+                    if (n := len(values.split())) != dim:
+                        error = _width_error(path, lineno, dim, n)
+                if error is None and loaded and token in index:
+                    error = EmbeddingError(f"{path}:{lineno}: duplicated token {token!r}")
+                if error is not None:
+                    return
+                if loaded:
+                    index[token] = lineno
+                    yield values
+
+    lines = rows()
+    first = next(lines, None)
+    matrix = None
+    if first is not None:
+        try:
+            matrix = np.loadtxt(itertools.chain([first], lines), dtype=np.float64,
+                                comments=None, ndmin=2)
+        except ValueError:
+            matrix = None
+        if matrix is None or matrix.shape[1] != dim or not np.isfinite(matrix).all():
+            _raise_first_bad_row(path, index.values(), dim)
+        if len(matrix) != len(index):  # loadtxt skipped a row it was given
+            raise EmbeddingError(f"{path}: {len(matrix)} vectors parsed "
+                                 f"for {len(index)} tokens")
+    if error is not None:
+        raise error
+    if header and header[0] != n_rows:
+        raise EmbeddingError(f"{path}:1: header gives {header[0]} vectors, "
+                             f"the file has {n_rows}")
+    if matrix is None:
+        raise EmbeddingError(f"{path}: no vectors loaded")
+    return _table(list(index), matrix)
+
+
+def _width_error(path, lineno: int, dim: int, n: int) -> EmbeddingError:
+    return EmbeddingError(f"{path}:{lineno}: expected {dim} components, got {n}")
+
+
+def _raise_first_bad_row(path, linenos, dim: int) -> None:
+    """Raise the error of the first of the given lines whose components are
+    not dim finite numbers, parsing each line as load_embeddings's one pass
+    does. Only runs once that pass has found a bad row."""
+    wanted = set(linenos)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
+            if lineno not in wanted:
                 continue
-            if lineno == 1 and _is_header(fields):
-                continue
-            token, values = fields[0], fields[1:]
-            if dim is None:
-                dim = len(values)
-                if dim == 0:
-                    raise EmbeddingError(f"{path}:{lineno}: no vector components")
-            elif len(values) != dim:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: expected {dim} components, got {len(values)}")
-            if vocab_filter is not None and token not in vocab_filter:
-                continue
-            if token in vectors:
-                raise EmbeddingError(f"{path}:{lineno}: duplicated token {token!r}")
+            values = line.split(None, 1)[1]
+            if (n := len(values.split())) != dim:
+                raise _width_error(path, lineno, dim, n)
             try:
-                vec = np.array(values, dtype=np.float64)
+                row = np.loadtxt([values], dtype=np.float64, comments=None, ndmin=2)
             except ValueError:
-                raise EmbeddingError(f"{path}:{lineno}: unparseable vector component") from None
-            if not np.isfinite(vec).all():
+                row = None
+            if row is None or row.shape != (1, dim):
+                raise EmbeddingError(f"{path}:{lineno}: unparseable vector component")
+            if not np.isfinite(row).all():
                 raise EmbeddingError(f"{path}:{lineno}: non-finite vector component")
-            vectors[token] = vec
-    if dim is None or not vectors:
-        raise EmbeddingError(f"{path}: no vectors loaded")
-    mean = np.mean(list(vectors.values()), axis=0)
-    return EmbeddingTable(dim, vectors, mean)
+    raise AssertionError(f"{path}: the vector parse failed on no single line")
+
+
+def _table(tokens: list[str], matrix: np.ndarray) -> EmbeddingTable:
+    """The one table layout: tokens[i] maps to row i of the (V, d) matrix, a
+    view made once, so every lookup returns the same array."""
+    return EmbeddingTable(matrix.shape[1], dict(zip(tokens, matrix)), matrix.mean(axis=0))
 
 
 def make_table(tokens_to_vectors: dict[str, np.ndarray]) -> EmbeddingTable:
     """Build a table directly from a token->vector map (tests, synthesis)."""
     if not tokens_to_vectors:
         raise EmbeddingError("empty vector map")
-    vecs = {t: np.asarray(v, dtype=np.float64) for t, v in tokens_to_vectors.items()}
-    dims = {v.shape for v in vecs.values()}
-    if len(dims) != 1:
+    vecs = [np.asarray(v, dtype=np.float64) for v in tokens_to_vectors.values()]
+    if len({v.shape for v in vecs}) != 1:
         raise EmbeddingError("inconsistent vector lengths")
-    dim = next(iter(dims))[0]
-    return EmbeddingTable(dim, vecs, np.mean(list(vecs.values()), axis=0))
+    return _table(list(tokens_to_vectors), np.stack(vecs))
 
 
 def random_table(n_tokens: int, dim: int, seed: int = 0) -> EmbeddingTable:

@@ -231,9 +231,10 @@ def predict(models, seqs, pairs) -> np.ndarray:
     return out
 
 
-def _gru_backward(steps: _SeqTrace, d_final: np.ndarray, w, grads) -> None:
-    """Add one sequence's encoder gradients to grads. The loop carries dh back in
-    time, filling row t of da with [da_z; da_r; da_c]; then GEMMs over all rows."""
+def _gru_backward(steps: _SeqTrace, d_final: np.ndarray, u_zr, u_c, grads) -> None:
+    """Add one sequence's encoder gradients to grads, given the recurrent kernels
+    [u_z; u_r] and u_c. The loop carries dh back in time, filling row t of da
+    with [da_z; da_r; da_c]; then GEMMs over all rows."""
     x, h, zr, c = steps.x, steps.h[:-1], steps.zr, steps.c
     n = c.shape[1]
     z, r = zr[:, :n], zr[:, n:]
@@ -241,7 +242,6 @@ def _gru_backward(steps: _SeqTrace, d_final: np.ndarray, w, grads) -> None:
     g_z = (c - h) * z * keep  # da_z = dh * g_z, and so on
     g_c = z * (1.0 - c ** 2)
     g_r = h * r * (1.0 - r)
-    u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
     da = np.empty((len(c), 3 * n))
     dh = d_final
     for t in reversed(range(len(c))):
@@ -283,8 +283,9 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
     sign = np.sign(trace.e_a - trace.e_b)
     d_ea = d_combined[:h] + d_combined[h:] * sign
     d_eb = d_combined[:h] - d_combined[h:] * sign
-    _gru_backward(trace.steps_a, d_ea, w, grads)
-    _gru_backward(trace.steps_b, d_eb, w, grads)
+    u_zr = np.concatenate([w["u_z"], w["u_r"]])
+    _gru_backward(trace.steps_a, d_ea, u_zr, w["u_c"], grads)
+    _gru_backward(trace.steps_b, d_eb, u_zr, w["u_c"], grads)
     return grads
 
 

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrnet.embeddings import (EmbeddingError, embed_sequence, load_embeddings,
                                 make_table)
@@ -77,6 +81,112 @@ def test_line_order_insensitive(tmp_path):
     assert set(t1.vectors) == set(t2.vectors)
     for tok in t1.vectors:
         np.testing.assert_array_equal(t1.vectors[tok], t2.vectors[tok])
+
+
+@pytest.mark.parametrize("text, vocab, message", [
+    ("a 1 0\nb\nc 0 1\n", None, ":2: expected 2 components, got 0"),
+    ("a 1 0\nb 0 1 2\nc 1 1\n", {"a", "c"}, ":2: expected 2 components, got 3"),
+    ("a 1 0\nb 0 1\nc 0 zz\n", None, ":3: unparseable vector component"),
+    ("a 1 0\nb 0 1\nc 0 1_0\n", None, ":3: unparseable vector component"),
+    ("3 2\na 1 0\nb 0 1\n", None, ":1: header gives 3 vectors, the file has 2"),
+    ("3 2\na 1 0\nb 0 1\n", {"a"}, ":1: header gives 3 vectors, the file has 2"),
+    ("2 3\na 1 0\nb 0 1\n", None, ":1: header gives 3 components, the vectors have 2"),
+], ids=["token-only-row", "width-outside-filter", "unparseable", "underscore-digits",
+        "truncated", "truncated-filtered", "header-dim"])
+def test_bad_file_names_its_line(tmp_path, text, vocab, message):
+    path = write(tmp_path, text)
+    with pytest.raises(EmbeddingError) as exc:
+        load_embeddings(path, vocab_filter=vocab)
+    assert str(exc.value) == f"{path}{message}"
+
+
+def test_header_counts_filtered_rows(tmp_path):
+    path = write(tmp_path, "3 2\na 1 0\nb 0 1\nc 1 1\n")
+    assert list(load_embeddings(path, vocab_filter={"a", "c"}).vectors) == ["a", "c"]
+
+
+def test_hash_token_is_a_word(tmp_path):
+    table = load_embeddings(write(tmp_path, "#hashtag 1 0\n# 0 1\n"))
+    assert list(table.vectors) == ["#hashtag", "#"]
+    np.testing.assert_array_equal(table.vectors["#hashtag"], [1, 0])
+
+
+def test_vectors_are_rows_of_one_matrix(tmp_path):
+    table = load_embeddings(write(tmp_path, "a 1 0\nb 0 1\nc 1 1\n"))
+    matrix = table.vectors["a"].base
+    assert matrix.shape == (3, 2)
+    assert all(v.base is matrix for v in table.vectors.values())
+
+
+def reference_load(text):
+    """The loader's contract, one line at a time: float() of each component,
+    blank lines and a line-1 "<count> <dim>" header skipped."""
+    tokens, rows = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields or (lineno == 1 and len(fields) == 2 and all(f.isdigit() for f in fields)):
+            continue
+        tokens.append(fields[0])
+        rows.append([float(v) for v in fields[1:]])
+    return tokens, rows
+
+
+FORMATS = [repr, "%.17g".__mod__, "%.4f".__mod__, "%e".__mod__]
+spaces = st.text(alphabet=" \t", min_size=1, max_size=3)
+
+
+@st.composite
+def vector_files(draw):
+    dim = draw(st.integers(1, 6))
+    tokens = draw(st.lists(st.text(alphabet="ab#xé_", min_size=1, max_size=4),
+                           min_size=1, max_size=8, unique=True))
+    lines = []
+    for token in tokens:
+        values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=dim, max_size=dim))
+        fields = [token] + [draw(st.sampled_from(FORMATS))(v) for v in values]
+        line = draw(st.sampled_from(["", " ", "\t"])) + draw(spaces).join(fields)
+        lines += [line + draw(st.sampled_from(["", " ", "\t "]))] + draw(
+            st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    if draw(st.booleans()):
+        lines.insert(0, f"{len(tokens)} {dim}")
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=vector_files())
+def test_loader_matches_per_line_reference_bitwise(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("vec") / "vec.txt"
+    path.write_bytes(text.encode("utf-8"))
+    tokens, rows = reference_load(text)
+    # The mean of values near the float64 maximum overflows to inf in both.
+    with np.errstate(over="ignore"):
+        table = load_embeddings(path)
+        mean = np.mean(np.array(rows), axis=0)
+    assert list(table.vectors) == tokens
+    for token, row in zip(tokens, rows):
+        assert table.vectors[token].tobytes() == np.array(row).tobytes()
+    assert table.mean_vector.tobytes() == mean.tobytes()
+
+
+def test_load_peak_memory_stays_near_the_matrix(tmp_path):
+    """A 5,000 x 300 load allocates at most 1.5x its matrix at its peak: no
+    whole-file string, no per-row arrays stacked into a second copy."""
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((5000, 300))
+    path = tmp_path / "vec.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%d %d\n" % matrix.shape)
+        for i, row in enumerate(matrix):
+            fh.write(f"w{i:05d} " + " ".join("%.6f" % v for v in row) + "\n")
+    tracemalloc.start()
+    try:
+        table = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.vectors) == 5000
+    assert peak <= 1.5 * matrix.nbytes, f"peak {peak / matrix.nbytes:.2f}x the matrix"
 
 
 class TestEmbedSequence:

@@ -378,8 +378,9 @@ class TestBackward:
         d_eb = d_comb[:3] - d_comb[3:] * sign
 
         ga, gb = zero_grads(p), zero_grads(p)
-        neural._gru_backward(trace.steps_a, d_ea, w, ga)
-        neural._gru_backward(trace.steps_b, d_eb, w, gb)
+        u_zr = np.concatenate([w["u_z"], w["u_r"]])
+        neural._gru_backward(trace.steps_a, d_ea, u_zr, w["u_c"], ga)
+        neural._gru_backward(trace.steps_b, d_eb, u_zr, w["u_c"], gb)
         for name in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_c", "u_c", "b_c"):
             np.testing.assert_allclose(full[name], ga[name] + gb[name], atol=1e-14)
 
