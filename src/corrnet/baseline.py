@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
-from .corpus import Corpus, _pair_key
+from .corpus import Corpus
 
 
 @dataclass
@@ -31,25 +30,21 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     n = len(train)
     if not n:
         raise ValueError("train set is empty")
-    findings = corpus.findings
-    bad = train[(train < 0) | (train >= len(findings))]
+    n_findings = corpus.n_findings
+    bad = train[(train < 0) | (train >= n_findings)]
     if len(bad):
-        raise ValueError(f"train index {bad[0]} outside the corpus's {len(findings)} findings")
-    # One list of the picked findings, whose fields 0, 1 and 2 (correlate_a,
-    # correlate_b, r) are read by position: no per-finding object is made
-    # that the cyclic collector would have to track.
-    picked = list(map(findings.__getitem__, train.tolist()))
+        raise ValueError(f"train index {bad[0]} outside the corpus's {n_findings} findings")
     ids = np.empty(2 * n, dtype=np.int64)  # a0, b0, a1, b1, ...
-    ids[0::2] = np.fromiter(map(itemgetter(0), picked), dtype=np.int64, count=n)
-    ids[1::2] = np.fromiter(map(itemgetter(1), picked), dtype=np.int64, count=n)
-    r = np.fromiter(map(itemgetter(2), picked), dtype=np.float64, count=n)
+    ids[0::2] = corpus.a[train]
+    ids[1::2] = corpus.b[train]
+    r = corpus.r[train]
     # bincount and cumsum add in array order, so both match the sequential sums.
     sums = np.bincount(ids, weights=np.repeat(r, 2))
     counts = np.bincount(ids)
     seen = np.flatnonzero(counts)
     per_correlate = dict(zip(seen.tolist(), zip(sums[seen].tolist(), counts[seen].tolist())))
     return BaselineModel(per_correlate, float(np.cumsum(r)[-1]) / n, corpus,
-                         np.bincount(train, minlength=len(findings)), mode)
+                         np.bincount(train, minlength=n_findings), mode)
 
 
 def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
@@ -71,9 +66,13 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     s_i, c_count_i = seen_i if seen_i is not None else (0.0, 0)
     s_j, c_count_j = seen_j if seen_j is not None else (0.0, 0)
     s_ij, c_ij = 0.0, 0
-    for k in model.corpus.pair_index.get(_pair_key(c_i, c_j), ()):
-        times = model.train_counts.item(k)
-        if times:
-            s_ij += times * model.corpus.findings[k].r
-            c_ij += times
+    if seen_i is not None and seen_j is not None:  # both ids are then in the corpus
+        corpus = model.corpus
+        # corpus.pair_key, inlined: this runs once per predicted pair.
+        key = c_i * corpus.key_base + c_j if c_i < c_j else c_j * corpus.key_base + c_i
+        for k in corpus.pair_rows.get(key, ()):
+            times = model.train_counts.item(k)
+            if times:
+                s_ij += times * corpus.r.item(k)
+                c_ij += times
     return (s_i + s_j - s_ij) / (c_count_i + c_count_j - c_ij)

@@ -117,11 +117,10 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     corpus, split = _load_split(args, min_test=2)
     model = baseline_mod.fit_baseline(corpus, split.train_indices, mode=args.mode)
-    preds, actual = [], []
-    for i in split.test_indices:
-        f = corpus.findings[i]
-        preds.append(baseline_mod.baseline_predict(model, f.correlate_a, f.correlate_b))
-        actual.append(f.r)
+    rows = list(split.test_indices)
+    preds = [baseline_mod.baseline_predict(model, a, b)
+             for a, b in zip(corpus.a[rows].tolist(), corpus.b[rows].tolist())]
+    actual = corpus.r[rows].tolist()
     from .stats import pearson
     print("test_pearson_r\t%.6f" % pearson(actual, preds))
     return 0

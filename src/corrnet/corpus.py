@@ -8,7 +8,9 @@ Lines starting with '#' are comments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +23,11 @@ class CorpusError(Exception):
     """Raised for malformed or degenerate findings files."""
 
 
-# The records are named tuples: immutable, and cheap to build by the hundred
-# thousand.
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+# The records are named tuples: immutable, and equal to plain tuples of their
+# fields. A corpus stores no Finding; its `findings` view builds them.
 class Correlate(NamedTuple):
     id: int
     raw_text: str
@@ -41,30 +46,119 @@ def _pair_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass
-class Corpus:
-    correlates: dict[int, Correlate]
-    findings: list[Finding]
-    # Derived from `findings`: finding indices, in finding order, per
-    # unordered correlate pair and per paper id. The values are tuples of
-    # ints, which the cyclic garbage collector stops tracking, so a
-    # paper-scale index adds nothing to later full collections.
-    pair_index: dict[tuple[int, int], tuple[int, ...]] = field(init=False)
-    paper_index: dict[str, tuple[int, ...]] = field(init=False)
+_ITER_CHUNK = 4096  # findings turned into Python scalars at a time while iterating
 
-    def __post_init__(self):
-        # Most pairs are reported once, so a pair's first finding goes straight
-        # into a 1-tuple and only later reports of it are gathered in lists.
-        pairs, repeats, papers = {}, {}, {}
-        for i, (a, b, _, paper_id, _) in enumerate(self.findings):
-            key = (a, b) if a < b else (b, a)
-            if pairs.setdefault(key, (i,))[0] != i:
-                repeats.setdefault(key, []).append(i)
-            papers.setdefault(paper_id, []).append(i)
-        for key, idx in repeats.items():
-            pairs[key] += tuple(idx)
-        self.pair_index = pairs
-        self.paper_index = {key: tuple(idx) for key, idx in papers.items()}
+
+class _Findings(Sequence):
+    """Read-only view of a corpus's findings. Each access builds the Finding
+    from the columns, with Python scalars; nothing per finding is stored."""
+
+    def __init__(self, a, b, r, paper_ids, paper_code, year):
+        self._columns = (a, b, r, paper_ids, paper_code, year)
+
+    def __len__(self) -> int:
+        return len(self._columns[2])
+
+    def __getitem__(self, i) -> Finding:
+        a, b, r, paper_ids, paper_code, year = self._columns
+        return Finding(a.item(i), b.item(i), r.item(i), paper_ids[paper_code.item(i)],
+                       year.item(i))
+
+    def __iter__(self):
+        a, b, r, paper_ids, paper_code, year = self._columns
+        for start in range(0, len(r), _ITER_CHUNK):
+            chunk = slice(start, start + _ITER_CHUNK)
+            yield from map(Finding._make, zip(
+                a[chunk].tolist(), b[chunk].tolist(), r[chunk].tolist(),
+                map(paper_ids.__getitem__, paper_code[chunk].tolist()), year[chunk].tolist()))
+
+
+class _PairIndex(Mapping):
+    """Read-only (lo, hi)-keyed view of a corpus's int-keyed pair index."""
+
+    def __init__(self, pair_rows: dict[int, tuple[int, ...]], key_base: int):
+        self._rows, self._base = pair_rows, key_base
+
+    def __getitem__(self, key) -> tuple[int, ...]:
+        try:
+            lo, hi = key
+            if 0 <= lo < hi < self._base:
+                return self._rows[lo * self._base + hi]
+        except (TypeError, ValueError, KeyError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (divmod(k, self._base) for k in self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+class Corpus:
+    """Correlates, and findings kept as one array per field.
+
+    Finding i reports correlation r[i] between correlates a[i] and b[i]
+    (int64 ids; r float64), published in year[i] by paper
+    paper_ids[paper_code[i]]; paper_ids is in first-seen order. A pair of
+    correlates lo < hi has the int key lo * key_base + hi, key_base being one
+    more than the largest correlate id, and pair_rows maps each reported
+    pair's key to its finding indices in finding order; paper_index does the
+    same per paper id. Index values are tuples of ints, which the cyclic
+    garbage collector stops tracking. `findings` and `pair_index` are
+    read-only views: Finding records, and pair_rows keyed by (lo, hi).
+    """
+
+    def __init__(self, correlates: dict[int, Correlate], findings: Iterable[Finding]):
+        papers: dict[str, int] = {}
+        rows = [(a, b, r, year, papers.setdefault(paper_id, len(papers)))
+                for a, b, r, paper_id, year in findings]
+        self._set(correlates, *(zip(*rows) if rows else [()] * 5), list(papers))
+
+    @classmethod
+    def _from_columns(cls, correlates, a, b, r, year, paper_code, paper_ids) -> "Corpus":
+        corpus = cls.__new__(cls)
+        corpus._set(correlates, a, b, r, year, paper_code, paper_ids)
+        return corpus
+
+    def _set(self, correlates, a, b, r, year, paper_code, paper_ids) -> None:
+        self.correlates = correlates
+        self.a, self.b, self.year, self.paper_code = (
+            np.array(col, dtype=np.int64) for col in (a, b, year, paper_code))
+        self.r = np.array(r, dtype=np.float64)
+        self.paper_ids = paper_ids
+        lo, hi = np.minimum(self.a, self.b), np.maximum(self.a, self.b)
+        self.key_base = max(max(correlates, default=-1), int(hi.max(initial=-1))) + 1
+        keys = lo * self.key_base + hi
+        # Each key gets a 1-tuple of its last finding, in first-report order;
+        # only the keys reported more than once are then gathered again.
+        self.pair_rows = dict(zip(keys.tolist(), zip(range(len(keys)))))
+        if len(self.pair_rows) < len(keys):
+            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            repeated = np.flatnonzero(counts[inverse] > 1)
+            rows: dict[int, list[int]] = {}
+            for k, i in zip(keys[repeated].tolist(), repeated.tolist()):
+                rows.setdefault(k, []).append(i)
+            for k, idx in rows.items():
+                self.pair_rows[k] = tuple(idx)
+        by_paper = iter(np.argsort(self.paper_code, kind="stable").tolist())
+        per_paper = np.bincount(self.paper_code, minlength=len(paper_ids)).tolist()
+        self.paper_index = {pid: tuple(islice(by_paper, n)) for pid, n in zip(paper_ids, per_paper)}
+        self.findings = _Findings(self.a, self.b, self.r, paper_ids, self.paper_code, self.year)
+        self.pair_index = _PairIndex(self.pair_rows, self.key_base)
+
+    def pair_key(self, a: int, b: int) -> int:
+        """The key of the unordered pair {a, b} in pair_rows; both ids must lie
+        in [0, key_base)."""
+        return a * self.key_base + b if a < b else b * self.key_base + a
+
+    def __eq__(self, other):
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.correlates == other.correlates and self.paper_ids == other.paper_ids
+                and all(np.array_equal(x, y) for x, y in zip(
+                    (self.a, self.b, self.r, self.year, self.paper_code),
+                    (other.a, other.b, other.r, other.year, other.paper_code))))
 
     @property
     def n_correlates(self) -> int:
@@ -72,7 +166,7 @@ class Corpus:
 
     @property
     def n_findings(self) -> int:
-        return len(self.findings)
+        return len(self.r)
 
 
 @dataclass(frozen=True)
@@ -117,26 +211,29 @@ def load_corpus(path) -> Corpus:
         cid = id_of[text] = interner.intern(text, tokens)
         return cid
 
-    findings: list[Finding] = []
+    a, b, r, year, paper_code = [], [], [], [], []
+    paper_codes: dict[str, int] = {}  # paper id -> its index in first-seen order
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+            s = line.lstrip()
+            if not s or s[0] == "#":
                 continue
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 5:
                 raise CorpusError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
             paper_id, year_s, text_a, text_b, r_s = fields
             try:
-                year = int(year_s)
+                year_i = int(year_s)
             except ValueError:
                 raise CorpusError(f"{path}:{lineno}: unparseable year {year_s!r}") from None
+            if not _INT64_MIN <= year_i <= _INT64_MAX:
+                raise CorpusError(f"{path}:{lineno}: year {year_s!r} outside the int64 range")
             try:
-                r = float(r_s)
+                r_f = float(r_s)
             except ValueError:
                 raise CorpusError(f"{path}:{lineno}: unparseable r {r_s!r}") from None
-            if not -1.0 <= r <= 1.0:
-                raise CorpusError(f"{path}:{lineno}: r = {r} outside [-1, 1]")
+            if not -1.0 <= r_f <= 1.0:
+                raise CorpusError(f"{path}:{lineno}: r = {r_f} outside [-1, 1]")
             id_a = id_of.get(text_a)
             if id_a is None:
                 id_a = correlate_id(text_a, lineno)
@@ -145,22 +242,24 @@ def load_corpus(path) -> Corpus:
                 id_b = correlate_id(text_b, lineno)
             if id_a == id_b:
                 raise CorpusError(f"{path}:{lineno}: both correlates normalize to the same variable")
-            findings.append(Finding(id_a, id_b, r, paper_id, year))
-    if not findings:
+            a.append(id_a)
+            b.append(id_b)
+            r.append(r_f)
+            year.append(year_i)
+            paper_code.append(paper_codes.setdefault(paper_id, len(paper_codes)))
+    if not r:
         raise CorpusError(f"{path}: empty corpus")
-    return Corpus(interner.correlates, findings)
+    return Corpus._from_columns(interner.correlates, a, b, r, year, paper_code, list(paper_codes))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
     """Write a corpus in the findings file format (r to 6 decimals)."""
+    texts = {cid: c.raw_text for cid, c in corpus.correlates.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        for f in corpus.findings:
-            fh.write("%s\t%d\t%s\t%s\t%.6f\n" % (
-                f.paper_id, f.year,
-                corpus.correlates[f.correlate_a].raw_text,
-                corpus.correlates[f.correlate_b].raw_text,
-                f.r,
-            ))
+        for code, year, a, b, r in zip(corpus.paper_code.tolist(), corpus.year.tolist(),
+                                       corpus.a.tolist(), corpus.b.tolist(), corpus.r.tolist()):
+            fh.write("%s\t%d\t%s\t%s\t%.6f\n"
+                     % (corpus.paper_ids[code], year, texts[a], texts[b], r))
 
 
 def split_corpus(corpus: Corpus, train_fraction: float = 0.8, seed: int = 0) -> Split:
@@ -185,7 +284,7 @@ def split_corpus(corpus: Corpus, train_fraction: float = 0.8, seed: int = 0) -> 
 
 def corpus_stats(corpus: Corpus) -> dict:
     """Counts of correlates and tested pairs, and the untested fraction."""
-    n, n_tested = corpus.n_correlates, len(corpus.pair_index)
+    n, n_tested = corpus.n_correlates, len(corpus.pair_rows)
     return {
         "n_correlates": n,
         "n_tested_pairs": n_tested,
@@ -246,27 +345,28 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
     pairs = sorted(chosen)
     rng.shuffle(pairs)
 
-    findings: list[Finding] = []
+    r: list[float] = []
     clean: list[float] = []
-    for i, (a, b) in enumerate(pairs):
+    for a, b in pairs:
         va, vb = latents[a], latents[b]
         denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
         cos = float(va @ vb) / denom if denom > 0 else 0.0
         r_clean = math.tanh(2.0 * cos)
-        r = r_clean
+        r_i = r_clean
         if noise_sd > 0:
-            r += noise_sd * float(rng.standard_normal())
-        r = min(1.0, max(-1.0, r))
-        findings.append(Finding(a, b, r, f"synth{i // 20}", 2010))
+            r_i += noise_sd * float(rng.standard_normal())
+        r.append(min(1.0, max(-1.0, r_i)))
         clean.append(r_clean)
 
     # Drop correlates that ended up in no finding, so the in-memory corpus
     # matches what a findings-file round trip would preserve.
-    used = sorted({c for f in findings for c in (f.correlate_a, f.correlate_b)})
-    remap = {old: new for new, old in enumerate(used)}
-    correlates = {remap[old]: Correlate(remap[old], interner.correlates[old].raw_text,
-                                        interner.correlates[old].tokens)
-                  for old in used}
-    findings = [Finding(remap[f.correlate_a], remap[f.correlate_b], f.r, f.paper_id, f.year)
-                for f in findings]
-    return Corpus(correlates, findings), clean
+    ab = np.array(pairs, dtype=np.int64)
+    used = np.unique(ab)
+    ab = np.searchsorted(used, ab)
+    correlates = {new: Correlate(new, interner.correlates[old].raw_text,
+                                 interner.correlates[old].tokens)
+                  for new, old in enumerate(used.tolist())}
+    paper_code = np.arange(n_findings) // 20
+    paper_ids = [f"synth{k}" for k in range(int(paper_code[-1]) + 1)]
+    return Corpus._from_columns(correlates, ab[:, 0], ab[:, 1], r, np.full(n_findings, 2010),
+                                paper_code, paper_ids), clean

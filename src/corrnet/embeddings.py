@@ -103,7 +103,7 @@ def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTabl
                              f"the file has {n_rows}")
     if matrix is None:
         raise EmbeddingError(f"{path}: no vectors loaded")
-    return _table(list(index), matrix)
+    return _table(list(index), matrix, f"{path}: ")
 
 
 def _width_error(path, lineno: int, dim: int, n: int) -> EmbeddingError:
@@ -133,10 +133,16 @@ def _raise_first_bad_row(path, linenos, dim: int) -> None:
     raise AssertionError(f"{path}: the vector parse failed on no single line")
 
 
-def _table(tokens: list[str], matrix: np.ndarray) -> EmbeddingTable:
+def _table(tokens: list[str], matrix: np.ndarray, where: str = "") -> EmbeddingTable:
     """The one table layout: tokens[i] maps to row i of the (V, d) matrix, a
-    view made once, so every lookup returns the same array."""
-    return EmbeddingTable(matrix.shape[1], dict(zip(tokens, matrix)), matrix.mean(axis=0))
+    view made once, so every lookup returns the same array. The mean vector,
+    which out-of-vocabulary tokens get, must be finite; `where` prefixes the
+    error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise EmbeddingError(f"{where}the mean of the loaded vectors is not finite")
+    return EmbeddingTable(matrix.shape[1], dict(zip(tokens, matrix)), mean)
 
 
 def make_table(tokens_to_vectors: dict[str, np.ndarray]) -> EmbeddingTable:

@@ -83,22 +83,23 @@ def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[
     n = len(ids)
     if n < 2:
         raise ValueError("need at least 2 correlates")
-    available = n * (n - 1) // 2 - len(corpus.pair_index)
+    available = n * (n - 1) // 2 - len(corpus.pair_rows)
     if available < n_candidates:
         raise ValueError(
             f"only {available} untested pairs available, {n_candidates} requested")
     rng = np.random.default_rng(seed)
     chosen: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # pair keys
     while len(chosen) < n_candidates:
         i, j = rng.integers(0, n, size=2)
         if i == j:
             continue
-        key = _pair_key(ids[int(i)], ids[int(j)])
-        if key in seen or key in corpus.pair_index:
+        pair = _pair_key(ids[int(i)], ids[int(j)])
+        key = corpus.pair_key(*pair)
+        if key in seen or key in corpus.pair_rows:
             continue
         seen.add(key)
-        chosen.append(key)
+        chosen.append(pair)
     return chosen
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, _pair_key
+from .corpus import Corpus
 from .embeddings import EmbeddingTable
 from .ensemble import Ensemble
 from .neural import predict
@@ -35,17 +35,13 @@ def build_table(corpus: Corpus, paper_ids: list[str], model,
     first paper). Cells with corpus findings are Reported (mean r over
     reports); every other off-diagonal cell is Predicted by the model.
     """
-    order: list[int] = []
-    placed: set[int] = set()
+    ids: list[int] = []  # a, b of each of the papers' findings, in order
     for pid in paper_ids:
         if pid not in corpus.paper_index:
             raise ValueError(f"unknown paper id {pid!r}")
-        for k in corpus.paper_index[pid]:
-            f = corpus.findings[k]
-            for cid in (f.correlate_a, f.correlate_b):
-                if cid not in placed:
-                    placed.add(cid)
-                    order.append(cid)
+        rows = list(corpus.paper_index[pid])
+        ids += np.column_stack((corpus.a[rows], corpus.b[rows])).ravel().tolist()
+    order = list(dict.fromkeys(ids))
     n = len(order)
     if n < 2:
         raise ValueError("selected papers contribute fewer than 2 correlates")
@@ -55,9 +51,9 @@ def build_table(corpus: Corpus, paper_ids: list[str], model,
     unreported: list[tuple[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            finding_idx = corpus.pair_index.get(_pair_key(order[i], order[j]))
-            if finding_idx:
-                values[i, j] = values[j, i] = np.mean([corpus.findings[k].r for k in finding_idx])
+            rows = corpus.pair_rows.get(corpus.pair_key(order[i], order[j]))
+            if rows:
+                values[i, j] = values[j, i] = np.mean(corpus.r[list(rows)])
                 kinds[i, j] = kinds[j, i] = KIND_REPORTED
             else:
                 unreported.append((i, j))

@@ -11,7 +11,7 @@ MAX_TOKENS = 32
 # becomes a space. Hyphens/apostrophes survive this pass so that in-word
 # occurrences ("self-esteem", "worker's") can be kept below.
 _PUNCT_RE = re.compile(r"[^\w\s'’-]", re.UNICODE)
-_EDGE_RE = re.compile(r"^['’-]+|['’-]+$")
+_EDGE_CHARS = "'’-"
 
 
 def normalize(raw: str) -> list[str]:
@@ -23,5 +23,5 @@ def normalize(raw: str) -> list[str]:
     decide whether to reject it.
     """
     text = _PUNCT_RE.sub(" ", unicodedata.normalize("NFC", raw).lower())
-    tokens = [_EDGE_RE.sub("", t) for t in text.split()]
+    tokens = [t.strip(_EDGE_CHARS) for t in text.split()]
     return [t for t in tokens if t][:MAX_TOKENS]

@@ -108,14 +108,15 @@ def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable) -> dict[int, list[
 
 
 def _finding_pairs(corpus: Corpus, indices) -> list[tuple[int, int]]:
-    return [(corpus.findings[i].correlate_a, corpus.findings[i].correlate_b) for i in indices]
+    rows = list(indices)
+    return list(zip(corpus.a[rows].tolist(), corpus.b[rows].tolist()))
 
 
 def _mean_loss(params, corpus, indices, seqs) -> float:
     r_hats = predict([params], seqs, _finding_pairs(corpus, indices))[:, 0]
     total = 0.0
-    for i, r_hat in zip(indices, r_hats.tolist()):
-        total += mse_loss(r_hat, corpus.findings[i].r)
+    for r, r_hat in zip(corpus.r[list(indices)].tolist(), r_hats.tolist()):
+        total += mse_loss(r_hat, r)
     return total / len(indices)
 
 
@@ -158,11 +159,10 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
         for start in range(0, len(order), config.batch_size):
             batch = [fit_idx[j] for j in order[start:start + config.batch_size]]
             grads = zero_grads(params)
-            for i in batch:
-                f = corpus.findings[i]
-                trace = predict_pair(seqs[f.correlate_a], seqs[f.correlate_b], params)
-                epoch_loss += mse_loss(trace.r_hat, f.r)
-                upstream = 2.0 * (trace.r_hat - f.r) / len(batch)
+            for (a, b), r in zip(_finding_pairs(corpus, batch), corpus.r[batch].tolist()):
+                trace = predict_pair(seqs[a], seqs[b], params)
+                epoch_loss += mse_loss(trace.r_hat, r)
+                upstream = 2.0 * (trace.r_hat - r) / len(batch)
                 for k, g in backward(trace, upstream, params).items():
                     grads[k] += g
             adam_step(params, grads, state, config)
@@ -191,5 +191,5 @@ def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable
         raise ValueError("no finding indices to evaluate")
     pairs = _finding_pairs(corpus, indices)
     r_hats = predict([params], embed_pairs(corpus, pairs, table), pairs)[:, 0].tolist()
-    r_vals = [corpus.findings[i].r for i in indices]
+    r_vals = corpus.r[list(indices)].tolist()
     return {"pearson_r": pearson(r_vals, r_hats), "predictions": list(zip(r_vals, r_hats))}

@@ -178,6 +178,65 @@ def test_index_values_are_untracked_tuples(demo_corpus):
     assert not any(gc.is_tracked(idx) for idx in demo_corpus.paper_index.values())
 
 
+def test_findings_view_builds_records_from_columns():
+    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(4)}
+    findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(3, 2, -0.5, "pB", 2011),
+                Finding(1, 0, 0.25, "pA", 2012)]
+    view = Corpus(correlates, findings).findings
+    assert len(view) == 3
+    assert view[1] == findings[1] and view[np.int64(2)] == findings[2]
+    assert view[-1] == findings[-1]
+    assert list(view) == findings
+    assert all(type(x) is int for x in (view[1].correlate_a, view[1].year))
+    assert type(view[1].r) is float
+    for i in (3, -4, np.int64(3)):
+        with pytest.raises(IndexError):
+            view[i]
+
+
+def test_findings_view_iterates_in_chunks():
+    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(50)}
+    rng = np.random.default_rng(0)
+    findings = [Finding(int(a), int(b), float(rng.uniform(-1, 1)), f"p{i % 7}", 1990 + i % 30)
+                for i, (a, b) in enumerate(rng.choice(50, size=(3 * corpus_mod._ITER_CHUNK + 5, 2)))
+                if a != b]
+    assert list(Corpus(correlates, findings).findings) == findings
+
+
+def test_pair_index_view_reads_the_int_keyed_index():
+    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(4)}
+    corpus = Corpus(correlates, [Finding(2, 0, 0.1, "p", 2010), Finding(1, 3, 0.2, "p", 2010),
+                                 Finding(0, 2, 0.3, "p", 2010)])
+    view = corpus.pair_index
+    assert view == {(0, 2): (0, 2), (1, 3): (1,)}
+    assert len(view) == 2 and list(view) == [(0, 2), (1, 3)]
+    assert (0, 2) in view and view[(1, 3)] == (1,) and view.get((1, 3)) == (1,)
+    for absent in [(2, 0), (0, 1), (0, 4), (-1, 3), (3, 9), "x", (1, 2, 3)]:
+        assert absent not in view and view.get(absent) is None
+        with pytest.raises(KeyError):
+            view[absent]
+    assert corpus.pair_rows == {0 * 4 + 2: (0, 2), 1 * 4 + 3: (1,)}
+    assert corpus.key_base == 4
+
+
+def test_loaded_corpus_tracks_objects_per_correlate_not_per_finding(tmp_path):
+    """The collector tracks no per-finding object: 20,000 findings over 200
+    correlates add a few objects per correlate."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "big.tsv"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(20_000):
+            a, b = rng.choice(200, size=2, replace=False)
+            fh.write(f"p{i // 10}\t2010\tvariable {a}\tvariable {b}\t{rng.uniform(-1, 1):.6f}\n")
+    gc.collect()
+    before = len(gc.get_objects())
+    corpus = load_corpus(path)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert (corpus.n_correlates, corpus.n_findings) == (200, 20_000)
+    assert added <= 2 * corpus.n_correlates + 50, added
+
+
 def test_records_are_immutable_tuples(demo_corpus):
     finding = demo_corpus.findings[0]
     correlate = demo_corpus.correlates[finding.correlate_a]
@@ -209,7 +268,7 @@ def load_per_line(path):
                     correlates[len(correlates)] = Correlate(len(correlates), text, tokens)
                 ids.append(by_tokens[tokens])
             findings.append(Finding(ids[0], ids[1], float(r), paper_id, int(year)))
-    return Corpus(correlates, findings)
+    return correlates, findings
 
 
 # Texts are a few base phrases in case and punctuation variants that all
@@ -241,7 +300,16 @@ def test_load_matches_per_line_reference(tmp_path_factory, rows):
         for paper, year, (text_a, text_b), micro_r in rows:
             fh.write("%s\t%d\t%s\t%s\t%.6f\n" % (paper, year, text_a, text_b, micro_r / 1e6))
     loaded = load_corpus(path)
-    assert loaded == load_per_line(path)
+    correlates, findings = load_per_line(path)
+    assert loaded == Corpus(correlates, findings)
+    assert (loaded.a.dtype, loaded.b.dtype, loaded.year.dtype) == (np.int64,) * 3
+    assert loaded.a.tolist() == [f.correlate_a for f in findings]
+    assert loaded.b.tolist() == [f.correlate_b for f in findings]
+    assert loaded.year.tolist() == [f.year for f in findings]
+    assert [loaded.paper_ids[c] for c in loaded.paper_code.tolist()] == \
+        [f.paper_id for f in findings]
+    assert loaded.r.view(np.int64).tolist() == \
+        np.array([f.r for f in findings], dtype=np.float64).view(np.int64).tolist()
     first_text = {}
     for _, _, texts, _ in rows:
         for text in texts:
@@ -258,6 +326,25 @@ def test_empty_text_on_two_lines_names_the_first(tmp_path):
     with pytest.raises(CorpusError) as exc:
         load_corpus(path)
     assert str(exc.value) == f"{path}:2: correlate text normalizes to empty token list"
+
+
+@pytest.mark.parametrize("bad_2, bad_3, message", [
+    ("p1\t2010\tAge\tIncome", "p1\t2010\tAge", "expected 5 tab-separated fields, got 4"),
+    ("p1\t20x0\tAge\tIncome\t0.1", "p1\tyy\tAge\tIncome\t0.1", "unparseable year '20x0'"),
+    ("p1\t2010\tAge\tIncome\tabc", "p1\t2010\tAge\tIncome\tdef", "unparseable r 'abc'"),
+    ("p1\t2010\tAge\tIncome\t1.5", "p1\t2010\tAge\tIncome\t-2", "r = 1.5 outside [-1, 1]"),
+    ("p1\t2010\t???\tIncome\t0.1", "p1\t2010\tAge\t!!\t0.1",
+     "correlate text normalizes to empty token list"),
+    ("p1\t2010\tAge\tage!\t0.1", "p1\t2010\tIncome\tINCOME\t0.1",
+     "both correlates normalize to the same variable"),
+    ("p1\t99999999999999999999\tAge\tIncome\t0.1", "p1\t-99999999999999999999\tA\tB\t0.1",
+     "year '99999999999999999999' outside the int64 range"),
+])
+def test_first_of_two_bad_lines_is_reported(tmp_path, bad_2, bad_3, message):
+    path = write(tmp_path, ["p0\t2009\tTenure\tIncome\t0.2", bad_2, bad_3])
+    with pytest.raises(CorpusError) as exc:
+        load_corpus(path)
+    assert str(exc.value) == f"{path}:2: {message}"
 
 
 def test_normalizes_each_distinct_text_once(tmp_path, monkeypatch):

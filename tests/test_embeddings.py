@@ -159,14 +159,34 @@ def test_loader_matches_per_line_reference_bitwise(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("vec") / "vec.txt"
     path.write_bytes(text.encode("utf-8"))
     tokens, rows = reference_load(text)
-    # The mean of values near the float64 maximum overflows to inf in both.
-    with np.errstate(over="ignore"):
-        table = load_embeddings(path)
+    # The mean of values near the float64 maximum can overflow; the loader
+    # then rejects the file.
+    with np.errstate(over="ignore", invalid="ignore"):
         mean = np.mean(np.array(rows), axis=0)
+    if not np.isfinite(mean).all():
+        with pytest.raises(EmbeddingError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}: the mean of the loaded vectors is not finite"
+        return
+    table = load_embeddings(path)
     assert list(table.vectors) == tokens
     for token, row in zip(tokens, rows):
         assert table.vectors[token].tobytes() == np.array(row).tobytes()
     assert table.mean_vector.tobytes() == mean.tobytes()
+
+
+def test_mean_that_overflows_is_rejected(tmp_path):
+    """Finite rows whose mean overflows: an inf mean vector would reach every
+    out-of-vocabulary token. Neither loader warns."""
+    path = write(tmp_path, "a 1 8.98846567431158e+307\nb 2 8.98846567431158e+307\n")
+    with pytest.raises(EmbeddingError) as exc:
+        load_embeddings(path)
+    assert str(exc.value) == f"{path}: the mean of the loaded vectors is not finite"
+    rows = {"a": np.array([1.0, 8.98846567431158e+307]),
+            "b": np.array([2.0, 8.98846567431158e+307])}
+    with pytest.raises(EmbeddingError) as exc:
+        make_table(rows)
+    assert str(exc.value) == "the mean of the loaded vectors is not finite"
 
 
 def test_load_peak_memory_stays_near_the_matrix(tmp_path):

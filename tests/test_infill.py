@@ -35,7 +35,7 @@ def test_two_paper_infill_fraction(model, synth_vocab):
 def test_reported_cells_hold_mean_r(model, synth_vocab):
     corpus = two_paper_corpus()
     corpus = Corpus(corpus.correlates,
-                    corpus.findings + [Finding(0, 1, 0.5, "pC", 2012)])
+                    list(corpus.findings) + [Finding(0, 1, 0.5, "pC", 2012)])
     ct = build_table(corpus, ["pA", "pB"], model, synth_vocab)
     assert ct.kinds[0, 1] == KIND_REPORTED
     assert ct.values[0, 1] == pytest.approx(0.4)  # mean of 0.3 and 0.5

@@ -1,6 +1,9 @@
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrnet import textnorm
 from corrnet.textnorm import MAX_TOKENS, normalize
 
 
@@ -51,3 +54,16 @@ def test_idempotence_property(raw):
 
 def test_empty_result_is_valid():
     assert normalize("???") == []
+
+
+EDGE_RE = re.compile(r"^['’-]+|['’-]+$")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.text("ab-'’ ", max_size=6), max_size=6).map(" ".join))
+def test_edge_strip_matches_the_regex_form(raw):
+    """Edge hyphens and apostrophes come off each token as the anchored
+    regex ^['’-]+|['’-]+$ removes them."""
+    text = textnorm._PUNCT_RE.sub(" ", raw.lower())
+    tokens = [EDGE_RE.sub("", t) for t in text.split()]
+    assert normalize(raw) == [t for t in tokens if t][:MAX_TOKENS]
