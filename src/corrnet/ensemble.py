@@ -36,6 +36,19 @@ def _train_member(args):
     return params
 
 
+_shared: tuple = ()  # a pool worker's (corpus, split, table, config, bagging)
+
+
+def _share(*inputs) -> None:
+    global _shared
+    _shared = inputs
+
+
+def _train_shared_member(seed):
+    corpus, split, table, config, bagging = _shared
+    return _train_member((corpus, split, table, config, seed, bagging))
+
+
 def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
                    config: TrainConfig, n_members: int, bagging: bool = True,
                    jobs: int = 1) -> Ensemble:
@@ -43,16 +56,21 @@ def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
 
     Member k uses seed config.seed + k for initialization, shuffling, and
     (when bagging is on) its bootstrap resample of the training findings.
+    Each worker process receives the corpus and the other shared inputs once,
+    when it starts; a task carries only its member's seed.
     """
     if n_members < 2:
         raise ValueError("n_members must be >= 2")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [config.seed + k for k in range(n_members)]
-    work = [(corpus, split, table, config, seed, bagging) for seed in seeds]
     members = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        results = (pool.map if pool else map)(_train_member, work)
+    with (ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+                              initargs=(corpus, split, table, config, bagging))
+          if jobs > 1 else nullcontext()) as pool:
+        results = (pool.map(_train_shared_member, seeds) if pool else
+                   (_train_member((corpus, split, table, config, seed, bagging))
+                    for seed in seeds))
         for k in range(n_members):
             try:
                 members.append(next(results))

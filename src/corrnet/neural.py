@@ -125,18 +125,21 @@ def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], m.T)[:, 0]
 
 
-def _encode_block(xs, w_in, b_in, u_zr, u_c, hs=None, zrs=None, cs=None) -> np.ndarray:
-    """Final states of up to _BLOCK sequences sorted longest first, so the
-    rows still running at step t are a prefix; each row's bits do not depend
+def _project(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray) -> np.ndarray:
+    """Input projections w_in @ x[i] + b_in of every row of x, one gemv per
+    row, so a token's projection has the same bits whatever else is in x."""
+    return _rows(x, w_in) + b_in
+
+
+def _encode_block(a, lengths, u_zr, u_c, hs=None, zrs=None, cs=None) -> np.ndarray:
+    """Final states of up to _BLOCK sequences sorted longest first, given
+    their padded input projections a (L, B, 3h) and lengths (B,); the rows
+    still running at step t are a prefix, and each row's bits do not depend
     on the other rows. Given hs (L + 1, B, h) with hs[0] zero, zrs (L, B, 2h)
     and cs (L, B, h), step t's starting state, gates [z; r] and candidate of
     each running row are also written into hs[t], zrs[t] and cs[t]."""
     n = len(u_c)
-    a = np.zeros((len(xs[0]), len(xs), 3 * n))
-    for i, x in enumerate(xs):
-        a[:len(x), i] = x @ w_in.T + b_in
-    lengths = np.array([len(x) for x in xs])
-    h = np.zeros((len(xs), n))
+    h = np.zeros((a.shape[1], n))
     for t, k in enumerate((lengths[:, None] > np.arange(len(a))).sum(axis=0)):
         h_t, a_t = h[:k], a[t, :k]
         zr = _sigmoid(a_t[:, :2 * n] + _rows(h_t, u_zr))
@@ -166,21 +169,53 @@ def _inputs(seqs, d: int) -> list[np.ndarray]:
     return xs
 
 
-def _encode(xs, w) -> np.ndarray:
-    """Final hidden states of _inputs arrays, shape (len(xs), h): each row
-    equals predict_pair's final state for that sequence bit for bit."""
-    order = sorted(range(len(xs)), key=lambda i: -len(xs[i]))
-    kernels = _kernels(w)
-    out = np.empty((len(xs), len(w["b_z"])))
+def _token_ids(seqs, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct token vectors of seqs, told apart by object identity, as
+    the rows of a (U, d) float64 matrix; an (L, n) matrix whose column i is
+    sequence i's token ids, padded with the id U; and the lengths. Input that
+    _inputs rejects fails with its error, before any encoding."""
+    row: dict[int, int] = {}
+    distinct, ids = [], []  # distinct keeps each keyed vector alive: no id() is reused
+    for seq in seqs:
+        seq_ids = []
+        for v in seq:
+            k = row.get(id(v))
+            if k is None:
+                k = row[id(v)] = len(distinct)
+                distinct.append(v)
+            seq_ids.append(k)
+        ids.append(seq_ids)
+    lengths = np.array(list(map(len, ids)), dtype=np.intp)
+    try:
+        x = np.asarray(distinct, dtype=np.float64) if distinct else np.empty((0, d))
+    except ValueError:
+        x = None
+    if x is None or x.shape[1:] != (d,) or not lengths.all():
+        # Raises for the first bad sequence, or else for distinct itself.
+        _inputs([*seqs, distinct], d)
+    width = lengths.max(initial=0)
+    padded = np.array([r + [len(x)] * (width - len(r)) for r in ids], dtype=np.intp)
+    return x, padded.reshape(len(ids), width).T, lengths
+
+
+def _encode(x, ids, lengths, w) -> np.ndarray:
+    """Final hidden states of _token_ids' sequences, shape (len(lengths), h):
+    each distinct token is projected once, and each row equals predict_pair's
+    final state for that sequence bit for bit."""
+    order = np.argsort(-lengths, kind="stable")
+    w_in, b_in, u_zr, u_c = _kernels(w)
+    a = np.zeros((len(x) + 1, len(b_in)))  # the last row is the padding id's
+    a[:-1] = _project(x, w_in, b_in)
+    out = np.empty((len(lengths), len(u_c)))
     for s in range(0, len(order), _BLOCK):
         block = order[s:s + _BLOCK]
-        out[block] = _encode_block([xs[i] for i in block], *kernels)
+        out[block] = _encode_block(a[ids[:lengths[block[0]], block]], lengths[block], u_zr, u_c)
     return out
 
 
 def encode(seq, params: ModelParams) -> np.ndarray:
     """Final hidden state of the recurrent cell over a non-empty sequence."""
-    return _encode(_inputs([seq], params.d), params.weights)[0]
+    return _encode(*_token_ids([seq], params.d), params.weights)[0]
 
 
 def _score(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,7 +238,11 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     n, length = params.h, max(map(len, xs))
     hs, zrs, cs = (np.zeros((length + 1, 2, n)), np.empty((length, 2, 2 * n)),
                    np.empty((length, 2, n)))
-    _encode_block([xs[i] for i in rows], *_kernels(w), hs, zrs, cs)
+    w_in, b_in, u_zr, u_c = _kernels(w)
+    a = np.zeros((length, 2, 3 * n))
+    for x, i in zip(xs, rows):
+        a[:len(x), i] = _project(x, w_in, b_in)
+    _encode_block(a, np.array([len(xs[i]) for i in rows]), u_zr, u_c, hs, zrs, cs)
     steps_a, steps_b = (_SeqTrace(x, hs[:len(x) + 1, i], zrs[:len(x), i], cs[:len(x), i])
                         for x, i in zip(xs, rows))
     e_a, e_b = steps_a.h[-1], steps_b.h[-1]
@@ -214,18 +253,20 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
 def predict(models, seqs, pairs) -> np.ndarray:
     """Every model's prediction for every pair, shape (len(pairs), len(models)).
 
-    Each correlate named in pairs is encoded once per model from seqs[c]; each
-    pair is scored by predict_pair's head, row by row, so values equal its
-    r_hat bit for bit, in either order and whatever else is in the call."""
-    ids = list(dict.fromkeys(c for pair in pairs for c in pair))
-    xs = _inputs([seqs[c] for c in ids], models[0].d)
-    row = {c: i for i, c in enumerate(ids)}
+    Each correlate named in pairs is encoded once per model from seqs[c], and
+    each distinct token vector (by identity) of those correlates is projected
+    once per model; each pair is scored by predict_pair's head, row by row,
+    so values equal its r_hat bit for bit, in either order and whatever else
+    is in the call."""
+    cids = list(dict.fromkeys(c for pair in pairs for c in pair))
+    inputs = _token_ids([seqs[c] for c in cids], models[0].d)
+    row = {c: i for i, c in enumerate(cids)}
     ia = np.array([row[a] for a, _ in pairs], dtype=np.intp)
     ib = np.array([row[b] for _, b in pairs], dtype=np.intp)
     out = np.empty((len(pairs), len(models)))
     for k, params in enumerate(models):
         w = params.weights
-        enc = _encode(xs, w)
+        enc = _encode(*inputs, w)
         for s in range(0, len(pairs), _BLOCK):
             out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]], w)[2]
     return out

@@ -122,6 +122,36 @@ class TestTrainEnsemble:
             for name in a.weights:
                 np.testing.assert_array_equal(a.weights[name], b.weights[name])
 
+    def test_pool_tasks_carry_only_seeds(self, small_setup, synth_vocab, monkeypatch):
+        # An in-process stand-in for the pool: the shared inputs go to the
+        # worker initializer once, and each mapped task is a bare seed.
+        corpus, split = small_setup
+        tasks = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer, initargs):
+                assert initargs[0] is corpus
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, seeds):
+                tasks.extend(seeds)
+                return map(fn, tasks)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(ensemble, "_shared", ())
+        pooled = train_ensemble(corpus, split, synth_vocab, replace(FAST, seed=4), 3, jobs=2)
+        assert tasks == [4, 5, 6]
+        serial = train_ensemble(corpus, split, synth_vocab, replace(FAST, seed=4), 3, jobs=1)
+        for a, b in zip(serial.members, pooled.members):
+            for name in a.weights:
+                np.testing.assert_array_equal(a.weights[name], b.weights[name])
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_member_is_named(self, small_setup, synth_vocab, monkeypatch, jobs):
         corpus, split = small_setup

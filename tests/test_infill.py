@@ -88,10 +88,10 @@ def test_encodes_each_correlate_once_per_member(synth_vocab, monkeypatch):
     encoded = []
     encode_block = neural._encode_block
     monkeypatch.setattr(neural, "_encode_block",
-                        lambda xs, *kernels: encoded.extend(xs) or encode_block(xs, *kernels))
+                        lambda a, *rest: encoded.append(a.shape[1]) or encode_block(a, *rest))
     members = [init_params(synth_vocab.dim, 4, 3, seed=k) for k in range(2)]
     build_table(two_paper_corpus(), ["pA", "pB"], Ensemble(members, [0, 1], False), synth_vocab)
-    assert len(encoded) == 4 * 2
+    assert sum(encoded) == 4 * 2
 
 
 def test_unknown_paper(model, synth_vocab):

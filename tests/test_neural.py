@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from corrnet import neural
 from corrnet.corpus import generate_synthetic
-from corrnet.embeddings import random_table
+from corrnet.embeddings import embed_sequence, random_table
 from corrnet.ensemble import qbc_search
 from corrnet.infill import build_table
 from corrnet.neural import (Ensemble, ModelParams, backward, encode, gradcheck, init_params,
@@ -95,12 +95,13 @@ class TestEncode:
 
 
 def reference_gru(seq, w):
-    """One sequence's GRU pass, step by step: every step's input projections in
-    one GEMM, then matrix-vector products with the stacked recurrent kernels."""
+    """One sequence's GRU pass, step by step: matrix-vector products with the
+    stacked input kernel, one per step, and with the stacked recurrent kernels."""
     x = np.asarray(seq, dtype=np.float64)
     n = len(w["b_z"])
-    a = (x @ np.concatenate([w["w_z"], w["w_r"], w["w_c"]]).T
-         + np.concatenate([w["b_z"], w["b_r"], w["b_c"]]))
+    w_in, b_in = (np.concatenate([w["w_z"], w["w_r"], w["w_c"]]),
+                  np.concatenate([w["b_z"], w["b_r"], w["b_c"]]))
+    a = np.array([w_in @ x_t + b_in for x_t in x])
     a_zr, a_c = a[:, :2 * n], a[:, 2 * n:]
     u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
     h, zr, c = np.zeros((len(x) + 1, n)), np.empty((len(x), 2 * n)), np.empty((len(x), n))
@@ -229,6 +230,49 @@ class TestPredict:
         for row, (a, b) in zip(got, pairs):
             for value, p in zip(row, models):
                 assert value == predict_pair(seqs[a], seqs[b], p).r_hat
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
+           m=st.integers(1, 6), n_tokens=st.integers(1, 6), n=st.integers(8, 60))
+    @example(seed=0, d=300, h=64, m=32, n_tokens=6, n=60)
+    @example(seed=1, d=300, h=64, m=32, n_tokens=1, n=8)
+    def test_shared_tokens_equal_predict_pair_bitwise(self, seed, d, h, m, n_tokens, n):
+        # Correlates over a small vocabulary plus two out-of-vocabulary words:
+        # tokens repeat within and across correlates, and both OOV words get
+        # the one table.mean_vector, so predict projects far fewer vectors
+        # than the sequences hold.
+        rng = np.random.default_rng(seed)
+        table = random_table(n_tokens, d, seed=seed)
+        words = list(table.vectors) + ["oov-a", "oov-b"]
+        seqs = [embed_sequence([words[i] for i in rng.integers(0, len(words), size=length)],
+                               table)
+                for length in rng.integers(1, MAX_TOKENS + 1, size=n)]
+        assert len({id(v) for seq in seqs for v in seq}) < sum(map(len, seqs))
+        models = [perturbed_params(d, h, m, seed + k) for k in range(2)]
+        pairs = [tuple(int(c) for c in rng.integers(0, n, size=2)) for _ in range(2 * n)]
+        got = predict(models, seqs, pairs)
+        for row, (a, b) in zip(got, pairs):
+            for value, p in zip(row, models):
+                assert value == predict_pair(seqs[a], seqs[b], p).r_hat
+                assert value == predict_pair(seqs[b], seqs[a], p).r_hat
+
+    def test_projects_each_distinct_vector_once_per_model(self, monkeypatch):
+        table = random_table(5, 4, seed=11)
+        words = list(table.vectors)
+        seqs = [embed_sequence(words[:3] + ["oov"], table),
+                embed_sequence([words[1], "oov", words[1], "unseen"], table),
+                embed_sequence(words[3:], table),
+                embed_sequence([words[0]], table)]
+        # Equal values in a different object are projected as another vector.
+        seqs.append([v.copy() for v in seqs[3]])
+        pairs = [(0, 1), (1, 0), (4, 1), (0, 4), (1, 1)]  # seqs[2] is named in no pair
+        projected = []
+        project = neural._project
+        monkeypatch.setattr(neural, "_project",
+                            lambda x, *kernel: projected.append(len(x)) or project(x, *kernel))
+        predict([init_params(4, 3, 2, seed=k) for k in range(3)], seqs, pairs)
+        # words[0], words[1], words[2], the shared mean vector, and the copy.
+        assert projected == [5] * 3
 
     def test_no_pairs(self):
         got = predict([init_params(3, 4, 2, seed=k) for k in range(3)], [], [])
