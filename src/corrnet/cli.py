@@ -19,6 +19,7 @@ from . import ensemble as ensemble_mod
 from . import infill as infill_mod
 from . import neural, training
 from .embeddings import load_embeddings, random_table
+from .textnorm import utf8_errors
 
 # The keys a config file may set, each read with its flag's type.
 FILE_KEYS = {"train_fraction": float, "seed": int, "epochs": int, "learning_rate": float,
@@ -29,7 +30,7 @@ FILE_KEYS = {"train_fraction": float, "seed": int, "epochs": int, "learning_rate
 
 def load_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_errors(path, ValueError):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .textnorm import normalize
+from .textnorm import normalize, utf8_errors
 
 
 class CorpusError(Exception):
@@ -213,7 +213,7 @@ def load_corpus(path) -> Corpus:
 
     a, b, r, year, paper_code = [], [], [], [], []
     paper_codes: dict[str, int] = {}  # paper id -> its index in first-seen order
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, utf8_errors(path, CorpusError):
         for lineno, line in enumerate(fh, start=1):
             s = line.lstrip()
             if not s or s[0] == "#":

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textnorm import utf8_errors
+
 
 class EmbeddingError(Exception):
     """Raised for malformed vector files."""
@@ -51,7 +53,7 @@ def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTabl
         """The component text of each loaded row. The first error seen here
         ends the walk, so a bad row parsed before it is still reported first."""
         nonlocal header, dim, error, n_rows
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh, utf8_errors(path, EmbeddingError):
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split(None, 1)
                 if not parts:

@@ -97,6 +97,10 @@ class _SeqTrace:
 
 @dataclass
 class ForwardTrace:
+    """predict_pair's pass. x, hs, zrs and cs are its 2-row block's inputs
+    (L, 2, d), states (L + 1, 2, h), gates (L, 2, 2h) and candidates
+    (L, 2, h), zero at every padded step; a runs in block row rows[0] and b
+    in rows[1], and steps_a and steps_b are views of their own steps."""
     steps_a: _SeqTrace
     steps_b: _SeqTrace
     e_a: np.ndarray
@@ -104,6 +108,11 @@ class ForwardTrace:
     combined: np.ndarray
     u1: np.ndarray
     r_hat: float
+    x: np.ndarray
+    hs: np.ndarray
+    zrs: np.ndarray
+    cs: np.ndarray
+    rows: tuple[int, int]
 
 
 # Rows per block of predict's encoder and head: bounds the padded input
@@ -236,18 +245,20 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     # The block rows of a and b, longest first; a swap is its own inverse.
     rows = (1, 0) if len(xs[1]) > len(xs[0]) else (0, 1)
     n, length = params.h, max(map(len, xs))
-    hs, zrs, cs = (np.zeros((length + 1, 2, n)), np.empty((length, 2, 2 * n)),
-                   np.empty((length, 2, n)))
+    x, hs = np.zeros((length, 2, params.d)), np.zeros((length + 1, 2, n))
+    zrs, cs = np.zeros((length, 2, 2 * n)), np.zeros((length, 2, n))
     w_in, b_in, u_zr, u_c = _kernels(w)
     a = np.zeros((length, 2, 3 * n))
-    for x, i in zip(xs, rows):
-        a[:len(x), i] = _project(x, w_in, b_in)
+    for seq_x, i in zip(xs, rows):
+        x[:len(seq_x), i] = seq_x
+        a[:len(seq_x), i] = _project(seq_x, w_in, b_in)
     _encode_block(a, np.array([len(xs[i]) for i in rows]), u_zr, u_c, hs, zrs, cs)
-    steps_a, steps_b = (_SeqTrace(x, hs[:len(x) + 1, i], zrs[:len(x), i], cs[:len(x), i])
-                        for x, i in zip(xs, rows))
+    steps_a, steps_b = (_SeqTrace(x[:k, i], hs[:k + 1, i], zrs[:k, i], cs[:k, i])
+                        for k, i in zip(map(len, xs), rows))
     e_a, e_b = steps_a.h[-1], steps_b.h[-1]
     combined, u1, r_hat = _score(e_a[None], e_b[None], w)
-    return ForwardTrace(steps_a, steps_b, e_a, e_b, combined[0], u1[0], float(r_hat[0]))
+    return ForwardTrace(steps_a, steps_b, e_a, e_b, combined[0], u1[0], float(r_hat[0]),
+                        x, hs, zrs, cs, rows)
 
 
 def predict(models, seqs, pairs) -> np.ndarray:
@@ -272,62 +283,61 @@ def predict(models, seqs, pairs) -> np.ndarray:
     return out
 
 
-def _gru_backward(steps: _SeqTrace, d_final: np.ndarray, u_zr, u_c, grads) -> None:
-    """Add one sequence's encoder gradients to grads, given the recurrent kernels
-    [u_z; u_r] and u_c. The loop carries dh back in time, filling row t of da
-    with [da_z; da_r; da_c]; then GEMMs over all rows."""
-    x, h, zr, c = steps.x, steps.h[:-1], steps.zr, steps.c
-    n = c.shape[1]
-    z, r = zr[:, :n], zr[:, n:]
+def _block_backward(x, hs, zrs, cs, d_final, u_zr, u_c):
+    """Encoder gradients of a block of B sequences, given its inputs x
+    (L, B, d), states hs (L + 1, B, h), gates zrs (L, B, 2h) and candidates
+    cs (L, B, h), all zero at padded steps, the gradient d_final (B, h) of
+    each row's final state, and the recurrent kernels [u_z; u_r] and u_c.
+
+    A padded step has z = r = 0, so dh passes through it unchanged and its
+    gate gradients are 0: one reverse loop over the block fills step t of da
+    with [da_z; da_r; da_c] for every row. Products over all L * B rows then
+    give the gradients of [w_z; w_r; w_c], [u_z; u_r], u_c and [b_z; b_r; b_c].
+    """
+    n = cs.shape[-1]
+    h = hs[:-1]
+    z, r = zrs[..., :n], zrs[..., n:]
     keep = 1.0 - z
-    g_z = (c - h) * z * keep  # da_z = dh * g_z, and so on
-    g_c = z * (1.0 - c ** 2)
+    g_z = (cs - h) * z * keep  # da_z = dh * g_z, and so on
+    g_c = z * (1.0 - cs ** 2)
     g_r = h * r * (1.0 - r)
-    da = np.empty((len(c), 3 * n))
+    da = np.empty(cs.shape[:2] + (3 * n,))
     dh = d_final
-    for t in reversed(range(len(c))):
+    for t in reversed(range(len(cs))):
         da_t = da[t]
-        np.multiply(dh, g_z[t], out=da_t[:n])
-        np.multiply(dh, g_c[t], out=da_t[2 * n:])
-        uc_dac = da_t[2 * n:] @ u_c
-        np.multiply(uc_dac, g_r[t], out=da_t[n:2 * n])
-        dh = dh * keep[t] + da_t[:2 * n] @ u_zr + uc_dac * r[t]
-    d_in, d_zr, db = da.T @ x, da[:, :2 * n].T @ h, da.sum(axis=0)
-    for k, gate in enumerate("zrc"):
-        grads["w_" + gate] += d_in[k * n:(k + 1) * n]
-        grads["b_" + gate] += db[k * n:(k + 1) * n]
-    grads["u_z"] += d_zr[:n]
-    grads["u_r"] += d_zr[n:]
-    grads["u_c"] += da[:, 2 * n:].T @ (r * h)
+        np.multiply(dh, g_z[t], out=da_t[:, :n])
+        np.multiply(dh, g_c[t], out=da_t[:, 2 * n:])
+        uc_dac = da_t[:, 2 * n:] @ u_c
+        np.multiply(uc_dac, g_r[t], out=da_t[:, n:2 * n])
+        dh = dh * keep[t] + da_t[:, :2 * n] @ u_zr + uc_dac * r[t]
+    da = da.reshape(-1, 3 * n)
+    return (da.T @ x.reshape(len(da), -1), da[:, :2 * n].T @ h.reshape(len(da), n),
+            da[:, 2 * n:].T @ (r * h).reshape(len(da), n), da.sum(axis=0))
 
 
 def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[str, np.ndarray]:
     """Exact gradients of upstream * d r_hat / d theta for every parameter.
 
-    The encoder is shared, so both sequences' contributions accumulate into
-    the same recurrent weight gradients. The absolute-difference block uses
-    the subgradient sign(e_a - e_b), with sign(0) = 0.
+    The encoder is shared, so both sequences run backward as the forward's
+    2-row block, and each encoder gradient is a slice of one product over
+    both. The absolute-difference block uses the subgradient
+    sign(e_a - e_b), with sign(0) = 0.
     """
-    w = params.weights
-    grads = zero_grads(params)
-    h = params.h
-
+    w, h = params.weights, params.h
     da2 = upstream * (1.0 - trace.r_hat ** 2)
-    grads["head_w2"][0, :] = da2 * trace.u1
-    grads["head_b2"][0] = da2
-    du1 = w["head_w2"][0] * da2
-    da1 = du1 * (1.0 - trace.u1 ** 2)
-    grads["head_w1"] += np.outer(da1, trace.combined)
-    grads["head_b1"] += da1
+    da1 = w["head_w2"][0] * da2 * (1.0 - trace.u1 ** 2)
     d_combined = w["head_w1"].T @ da1
-
     sign = np.sign(trace.e_a - trace.e_b)
-    d_ea = d_combined[:h] + d_combined[h:] * sign
-    d_eb = d_combined[:h] - d_combined[h:] * sign
-    u_zr = np.concatenate([w["u_z"], w["u_r"]])
-    _gru_backward(trace.steps_a, d_ea, u_zr, w["u_c"], grads)
-    _gru_backward(trace.steps_b, d_eb, u_zr, w["u_c"], grads)
-    return grads
+    d_final = np.empty((2, h))
+    d_final[trace.rows[0]] = d_combined[:h] + d_combined[h:] * sign
+    d_final[trace.rows[1]] = d_combined[:h] - d_combined[h:] * sign
+    d_in, d_zr, d_uc, db = _block_backward(trace.x, trace.hs, trace.zrs, trace.cs, d_final,
+                                           np.concatenate([w["u_z"], w["u_r"]]), w["u_c"])
+    return {"w_z": d_in[:h], "u_z": d_zr[:h], "w_r": d_in[h:2 * h], "u_r": d_zr[h:],
+            "w_c": d_in[2 * h:], "u_c": d_uc,
+            "head_w1": np.outer(da1, trace.combined), "head_w2": (da2 * trace.u1)[None],
+            "b_z": db[:h], "b_r": db[h:2 * h], "b_c": db[2 * h:],
+            "head_b1": da1, "head_b2": np.array([da2])}
 
 
 def save_checkpoint(model: ModelParams | Ensemble, path) -> None:
@@ -348,9 +358,13 @@ def save_checkpoint(model: ModelParams | Ensemble, path) -> None:
 def load_checkpoint(path) -> ModelParams | Ensemble:
     """Load a save_checkpoint file, checking its format version, its
     parameter names and every shape against its stored dims and, for an
-    ensemble, its member count."""
-    with np.load(path) as data:
-        stored = {k: data[k] for k in data.files}
+    ensemble, its member count. A file that numpy cannot read as an archive
+    of arrays fails with its path named."""
+    try:
+        with open(path, "rb") as fh, np.load(fh) as data:
+            stored = {k: data[k] for k in data.files}
+    except Exception as exc:  # zip, numpy-format and I/O errors alike
+        raise ValueError(f"{path}: not a readable checkpoint: {exc}") from exc
     version = stored.pop("__format_version", None)
     if version is None or "__dims" not in stored:
         raise ValueError(f"{path}: not a corrnet checkpoint (no format version or dims)")

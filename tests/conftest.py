@@ -1,8 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from corrnet.corpus import Corpus, Finding, load_corpus
 from corrnet.embeddings import load_embeddings, random_table
+
+
+# One to three byte edits of a file, each at a fraction of its length; a
+# truncation ends the edits.
+byte_edits = st.lists(st.tuples(st.sampled_from(["set", "delete", "insert", "truncate"]),
+                                st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+                      min_size=1, max_size=3)
+
+
+def apply_byte_edits(path, edits) -> None:
+    """Rewrite the file at path with a byte_edits draw applied."""
+    raw = bytearray(path.read_bytes())
+    for kind, where, byte in edits:
+        pos = int(where * len(raw))
+        if kind == "truncate":
+            del raw[pos:]
+            break
+        if kind == "set":
+            raw[pos] = byte
+        elif kind == "delete":
+            del raw[pos]
+        else:
+            raw.insert(pos, byte)
+    path.write_bytes(bytes(raw))
 
 
 @pytest.fixture(scope="session")

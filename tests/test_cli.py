@@ -177,6 +177,15 @@ def test_config_file_errors_name_the_file(workdir, capsys, text, message):
     assert message in err
 
 
+def test_config_file_invalid_utf8_names_the_line(workdir, capsys):
+    tmp_path, corpus, _ = workdir
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"# \xc3\xa9t\xc3\xa9\nseed = 3\nepochs = \xa6\n")
+    rc, _, err = run(capsys, ["--config", str(cfg), "baseline", "--corpus", corpus])
+    assert rc == 1
+    assert err == f"error: {cfg}:3: not valid UTF-8\n"
+
+
 def test_selftest(capsys):
     rc, out, _ = run(capsys, ["selftest"])
     assert rc == 0

@@ -1,11 +1,13 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import apply_byte_edits, byte_edits
 from corrnet import corpus as corpus_mod
 from corrnet.corpus import (Corpus, Correlate, CorpusError, Finding, corpus_stats,
                             generate_synthetic, load_corpus, save_corpus, split_corpus,
@@ -345,6 +347,33 @@ def test_first_of_two_bad_lines_is_reported(tmp_path, bad_2, bad_3, message):
     with pytest.raises(CorpusError) as exc:
         load_corpus(path)
     assert str(exc.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_invalid_utf8_names_the_file_and_line(tmp_path, newline):
+    # Text-mode reading ends a line at each of these, and so does the count.
+    lines = ["p1\t2001\tanxiety\tdepression\t0.5", "# comment", "p2\t2002\tsleep\tmo\xa6od\t0.1"]
+    path = tmp_path / "c.tsv"
+    path.write_bytes(newline.join(lines).encode("latin-1") + newline.encode())
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: not valid UTF-8$"):
+        load_corpus(path)
+
+
+@seed(21)
+@settings(max_examples=40, deadline=None)
+@given(edits=byte_edits)
+def test_mutated_file_loads_or_names_the_file(tmp_path_factory, edits):
+    path = write(tmp_path_factory.mktemp("corpus"), [
+        "p1\t2001\tÄngstlichkeit\tnaïve trust\t0.5",
+        "# a comment",
+        "p2\t2002\tsleep quality\tmood – daily\t-0.25",
+        "p2\t2002\tÄngstlichkeit\tsleep quality\t0.125",
+    ])
+    apply_byte_edits(path, edits)
+    try:
+        load_corpus(path)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path}")
 
 
 def test_normalizes_each_distinct_text_once(tmp_path, monkeypatch):

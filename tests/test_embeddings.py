@@ -1,10 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import apply_byte_edits, byte_edits
 from corrnet.embeddings import (EmbeddingError, embed_sequence, load_embeddings,
                                 make_table)
 
@@ -98,6 +100,28 @@ def test_bad_file_names_its_line(tmp_path, text, vocab, message):
     with pytest.raises(EmbeddingError) as exc:
         load_embeddings(path, vocab_filter=vocab)
     assert str(exc.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("vocab", [None, {"cat"}])
+def test_invalid_utf8_names_the_file_and_line(tmp_path, vocab):
+    # Line 4 is outside the filter, but every line must still decode.
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"3 2\ncat 0.1 0.2\ndog 0.3 0.4\nd\xa6g 0.5 0.6\n")
+    with pytest.raises(EmbeddingError, match=f"^{re.escape(str(path))}:4: not valid UTF-8$"):
+        load_embeddings(path, vocab)
+
+
+@seed(22)
+@settings(max_examples=40, deadline=None)
+@given(edits=byte_edits, vocab=st.sampled_from([None, {"café", "über"}]))
+def test_mutated_file_loads_or_names_the_file(tmp_path_factory, edits, vocab):
+    path = write(tmp_path_factory.mktemp("vectors"),
+                 "3 2\ncafé 0.5 -1.25\nüber 2e-3 4\nnaïve -0.75 1.5\n")
+    apply_byte_edits(path, edits)
+    try:
+        load_embeddings(path, vocab)
+    except EmbeddingError as exc:
+        assert str(exc).startswith(f"{path}")
 
 
 def test_header_counts_filtered_rows(tmp_path):

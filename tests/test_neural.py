@@ -1,12 +1,14 @@
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import apply_byte_edits, byte_edits
 from corrnet import neural
 from corrnet.corpus import generate_synthetic
 from corrnet.embeddings import embed_sequence, random_table
@@ -340,9 +342,30 @@ class TestPredict:
         assert -1.0 <= ab <= 1.0
 
 
+def reference_seq_grads(x, h, zr, c, dh, w):
+    """One sequence's encoder gradients from its forward steps (x, h, zr, c)
+    and the gradient dh of its final state, one step at a time, with one
+    outer product per weight and step."""
+    n = len(w["b_z"])
+    grads = {g + k: np.zeros(w[g + k].shape) for g in ("w_", "u_", "b_") for k in "zrc"}
+    for t in reversed(range(len(x))):
+        h_t, c_t = h[t], c[t]
+        z, r = zr[t, :n], zr[t, n:]
+        da_z = dh * (c_t - h_t) * z * (1.0 - z)
+        da_c = dh * z * (1.0 - c_t ** 2)
+        uc_dac = w["u_c"].T @ da_c
+        da_r = uc_dac * h_t * r * (1.0 - r)
+        for g, da, h_in in (("z", da_z, h_t), ("r", da_r, h_t), ("c", da_c, r * h_t)):
+            grads["w_" + g] += np.outer(da, x[t])
+            grads["u_" + g] += np.outer(da, h_in)
+            grads["b_" + g] += da
+        dh = dh * (1.0 - z) + w["u_z"].T @ da_z + w["u_r"].T @ da_r + uc_dac * r
+    return grads
+
+
 def reference_grads(trace, upstream, params):
-    """backward's gradients from the same forward trace, one step at a time,
-    with one outer product per weight and step."""
+    """backward's gradients from the same forward trace: the head by hand,
+    then each sequence's reference_seq_grads."""
     w, n = params.weights, params.h
     grads = zero_grads(params)
     da2 = upstream * (1.0 - trace.r_hat ** 2)
@@ -353,20 +376,10 @@ def reference_grads(trace, upstream, params):
     grads["head_b1"] += da1
     d_comb = w["head_w1"].T @ da1
     sign = np.sign(trace.e_a - trace.e_b)
-    for steps, dh in ((trace.steps_a, d_comb[:n] + d_comb[n:] * sign),
-                      (trace.steps_b, d_comb[:n] - d_comb[n:] * sign)):
-        for t in reversed(range(len(steps))):
-            x, h, c = steps.x[t], steps.h[t], steps.c[t]
-            z, r = steps.zr[t, :n], steps.zr[t, n:]
-            da_z = dh * (c - h) * z * (1.0 - z)
-            da_c = dh * z * (1.0 - c ** 2)
-            uc_dac = w["u_c"].T @ da_c
-            da_r = uc_dac * h * r * (1.0 - r)
-            for g, da, h_in in (("z", da_z, h), ("r", da_r, h), ("c", da_c, r * h)):
-                grads["w_" + g] += np.outer(da, x)
-                grads["u_" + g] += np.outer(da, h_in)
-                grads["b_" + g] += da
-            dh = dh * (1.0 - z) + w["u_z"].T @ da_z + w["u_r"].T @ da_r + uc_dac * r
+    for s, dh in ((trace.steps_a, d_comb[:n] + d_comb[n:] * sign),
+                  (trace.steps_b, d_comb[:n] - d_comb[n:] * sign)):
+        for name, g in reference_seq_grads(s.x, s.h, s.zr, s.c, dh, w).items():
+            grads[name] += g
     return grads
 
 
@@ -421,12 +434,67 @@ class TestBackward:
         d_ea = d_comb[:3] + d_comb[3:] * sign
         d_eb = d_comb[:3] - d_comb[3:] * sign
 
-        ga, gb = zero_grads(p), zero_grads(p)
-        u_zr = np.concatenate([w["u_z"], w["u_r"]])
-        neural._gru_backward(trace.steps_a, d_ea, u_zr, w["u_c"], ga)
-        neural._gru_backward(trace.steps_b, d_eb, u_zr, w["u_c"], gb)
+        sa, sb = trace.steps_a, trace.steps_b
+        ga = reference_seq_grads(sa.x, sa.h, sa.zr, sa.c, d_ea, w)
+        gb = reference_seq_grads(sb.x, sb.h, sb.zr, sb.c, d_eb, w)
         for name in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_c", "u_c", "b_c"):
             np.testing.assert_allclose(full[name], ga[name] + gb[name], atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 8), h=st.integers(1, 8),
+           lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    @example(d=300, h=64, lengths=[8, 3, 5], seed=0)
+    @example(d=300, h=64, lengths=[1, 1], seed=1)
+    @example(d=300, h=64, lengths=[1, 8], seed=2)
+    @example(d=3, h=2, lengths=[1, 1], seed=3)
+    @example(d=3, h=2, lengths=[1, 8], seed=4)
+    def test_block_equals_sum_of_per_sequence_references(self, d, h, lengths, seed):
+        # Rows in any order, each zero past its own length, as predict_pair
+        # leaves its block.
+        w = perturbed_params(d, h, 1, seed).weights
+        rng = np.random.default_rng(seed)
+        size, n_rows = max(lengths), len(lengths)
+        x, hs = np.zeros((size, n_rows, d)), np.zeros((size + 1, n_rows, h))
+        zrs, cs = np.zeros((size, n_rows, 2 * h)), np.zeros((size, n_rows, h))
+        d_final = rng.standard_normal((n_rows, h))
+        want = {}
+        for i, length in enumerate(lengths):
+            steps = reference_gru(random_seq(rng, d, length), w)
+            for block, array in zip((x, hs, zrs, cs), steps):
+                block[:len(array), i] = array
+            for name, g in reference_seq_grads(*steps, d_final[i], w).items():
+                want[name] = want.get(name, 0.0) + g
+        d_in, d_zr, d_uc, db = neural._block_backward(
+            x, hs, zrs, cs, d_final, np.concatenate([w["u_z"], w["u_r"]]), w["u_c"])
+        got = {"u_z": d_zr[:h], "u_r": d_zr[h:], "u_c": d_uc}
+        for k, gate in enumerate("zrc"):
+            got["w_" + gate], got["b_" + gate] = d_in[k * h:(k + 1) * h], db[k * h:(k + 1) * h]
+        scale = max(np.abs(g).max() for g in want.values())
+        for name, g in want.items():
+            assert got[name].shape == g.shape, name
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("len_a, len_b", [(1, 1), (3, 5), (6, 2), (4, 4)])
+    def test_returns_fresh_arrays_of_every_parameter(self, len_a, len_b):
+        # train adds these arrays into its batch sum: one that shared memory
+        # with another gradient, a weight or the trace would corrupt training
+        # without any error.
+        rng = np.random.default_rng(len_a * 10 + len_b)
+        p = init_params(4, 3, 2, seed=5)
+        trace = predict_pair(random_seq(rng, 4, len_a), random_seq(rng, 4, len_b), p)
+        traced = [trace.x, trace.hs, trace.zrs, trace.cs, trace.e_a, trace.e_b,
+                  trace.combined, trace.u1]
+        before = [a.tobytes() for a in traced]
+        grads = backward(trace, 0.7, p)
+        assert grads.keys() == p.weights.keys()
+        for name, g in grads.items():
+            assert g.shape == p.weights[name].shape, name
+        arrays = list(grads.values())
+        for i, g in enumerate(arrays):
+            for other in arrays[i + 1:] + traced + list(p.weights.values()):
+                assert not np.shares_memory(g, other)
+        assert [a.tobytes() for a in traced] == before
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -511,6 +579,36 @@ def test_checkpoint_mismatch_names_file(tmp_path, corrupt, message):
     with pytest.raises(ValueError, match=message) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path, raw: path.write_bytes(raw[:len(raw) // 2]), "File is not a zip file"),
+    (lambda path, raw: path.write_bytes(b""), "No data left in file"),
+    (lambda path, raw: np.save(path, np.zeros(3)), "does not support the context manager"),
+    (lambda path, raw: None, "No such file or directory"),
+])
+def test_unreadable_checkpoint_names_file(tmp_path, write, message):
+    save_checkpoint(init_params(4, 3, 2), tmp_path / "good")
+    path = tmp_path / "bad.npy"  # np.save adds no suffix to this name
+    write(path, (tmp_path / "good").read_bytes())
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a readable "
+                                         f"checkpoint: .*{message}"):
+        load_checkpoint(path)
+
+
+@seed(20)
+@settings(max_examples=40, deadline=None)
+@given(ensemble=st.booleans(), edits=byte_edits)
+def test_mutated_checkpoint_loads_or_names_the_file(tmp_path_factory, ensemble, edits):
+    p = init_params(4, 5, 3, seed=0)
+    path = tmp_path_factory.mktemp("ckpt") / "model.npz"
+    save_checkpoint(Ensemble([p, init_params(4, 5, 3, seed=1)], [0, 1], False)
+                    if ensemble else p, path)
+    apply_byte_edits(path, edits)
+    try:
+        load_checkpoint(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
 
 
 def test_assert_finite():
