@@ -8,7 +8,7 @@ Lines starting with '#' are comments.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -109,19 +109,8 @@ class Corpus:
     read-only views: Finding records, and pair_rows keyed by (lo, hi).
     """
 
-    def __init__(self, correlates: dict[int, Correlate], findings: Iterable[Finding]):
-        papers: dict[str, int] = {}
-        rows = [(a, b, r, year, papers.setdefault(paper_id, len(papers)))
-                for a, b, r, paper_id, year in findings]
-        self._set(correlates, *(zip(*rows) if rows else [()] * 5), list(papers))
-
-    @classmethod
-    def _from_columns(cls, correlates, a, b, r, year, paper_code, paper_ids) -> "Corpus":
-        corpus = cls.__new__(cls)
-        corpus._set(correlates, a, b, r, year, paper_code, paper_ids)
-        return corpus
-
-    def _set(self, correlates, a, b, r, year, paper_code, paper_ids) -> None:
+    def __init__(self, correlates: dict[int, Correlate], a, b, r, year, paper_code,
+                 paper_ids: list[str]):
         self.correlates = correlates
         self.a, self.b, self.year, self.paper_code = (
             np.array(col, dtype=np.int64) for col in (a, b, year, paper_code))
@@ -249,7 +238,7 @@ def load_corpus(path) -> Corpus:
             paper_code.append(paper_codes.setdefault(paper_id, len(paper_codes)))
     if not r:
         raise CorpusError(f"{path}: empty corpus")
-    return Corpus._from_columns(interner.correlates, a, b, r, year, paper_code, list(paper_codes))
+    return Corpus(interner.correlates, a, b, r, year, paper_code, list(paper_codes))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -368,5 +357,5 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
                   for new, old in enumerate(used.tolist())}
     paper_code = np.arange(n_findings) // 20
     paper_ids = [f"synth{k}" for k in range(int(paper_code[-1]) + 1)]
-    return Corpus._from_columns(correlates, ab[:, 0], ab[:, 1], r, np.full(n_findings, 2010),
-                                paper_code, paper_ids), clean
+    return Corpus(correlates, ab[:, 0], ab[:, 1], r, np.full(n_findings, 2010), paper_code,
+                  paper_ids), clean

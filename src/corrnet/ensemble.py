@@ -25,8 +25,7 @@ class EnsembleEstimate:
     flagged: bool = False
 
 
-def _train_member(args):
-    corpus, split, table, config, seed, bagging = args
+def _train_member(seed, corpus, split, table, config, bagging):
     member_config = replace(config, seed=seed)
     indices = list(split.train_indices)
     if bagging:
@@ -45,8 +44,7 @@ def _share(*inputs) -> None:
 
 
 def _train_shared_member(seed):
-    corpus, split, table, config, bagging = _shared
-    return _train_member((corpus, split, table, config, seed, bagging))
+    return _train_member(seed, *_shared)
 
 
 def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
@@ -69,7 +67,7 @@ def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
                               initargs=(corpus, split, table, config, bagging))
           if jobs > 1 else nullcontext()) as pool:
         results = (pool.map(_train_shared_member, seeds) if pool else
-                   (_train_member((corpus, split, table, config, seed, bagging))
+                   (_train_member(seed, corpus, split, table, config, bagging)
                     for seed in seeds))
         for k in range(n_members):
             try:

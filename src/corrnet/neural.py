@@ -83,26 +83,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _SeqTrace:
-    """One sequence's GRU pass: step t's input x[t], starting state h[t], gates
-    zr[t] = [z; r] and candidate c[t]; h[-1] is the final state."""
-    x: np.ndarray   # (L, d)
-    h: np.ndarray   # (L + 1, h)
-    zr: np.ndarray  # (L, 2h)
-    c: np.ndarray   # (L, h)
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
-@dataclass
 class ForwardTrace:
     """predict_pair's pass. x, hs, zrs and cs are its 2-row block's inputs
     (L, 2, d), states (L + 1, 2, h), gates (L, 2, 2h) and candidates
     (L, 2, h), zero at every padded step; a runs in block row rows[0] and b
-    in rows[1], and steps_a and steps_b are views of their own steps."""
-    steps_a: _SeqTrace
-    steps_b: _SeqTrace
+    in rows[1]. steps_a and steps_b are views of their own input rows, e_a
+    and e_b of their final states, and u_zr is the [u_z; u_r] kernel the
+    block ran with."""
+    steps_a: np.ndarray
+    steps_b: np.ndarray
     e_a: np.ndarray
     e_b: np.ndarray
     combined: np.ndarray
@@ -113,6 +102,7 @@ class ForwardTrace:
     zrs: np.ndarray
     cs: np.ndarray
     rows: tuple[int, int]
+    u_zr: np.ndarray
 
 
 # Rows per block of predict's encoder and head: bounds the padded input
@@ -222,11 +212,6 @@ def _encode(x, ids, lengths, w) -> np.ndarray:
     return out
 
 
-def encode(seq, params: ModelParams) -> np.ndarray:
-    """Final hidden state of the recurrent cell over a non-empty sequence."""
-    return _encode(*_token_ids([seq], params.d), params.weights)[0]
-
-
 def _score(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head input, hidden activation and prediction for each row pair of e_a,
     e_b; symmetric in e_a, e_b bit for bit."""
@@ -253,12 +238,11 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
         x[:len(seq_x), i] = seq_x
         a[:len(seq_x), i] = _project(seq_x, w_in, b_in)
     _encode_block(a, np.array([len(xs[i]) for i in rows]), u_zr, u_c, hs, zrs, cs)
-    steps_a, steps_b = (_SeqTrace(x[:k, i], hs[:k + 1, i], zrs[:k, i], cs[:k, i])
-                        for k, i in zip(map(len, xs), rows))
-    e_a, e_b = steps_a.h[-1], steps_b.h[-1]
+    len_a, len_b = map(len, xs)
+    e_a, e_b = hs[len_a, rows[0]], hs[len_b, rows[1]]
     combined, u1, r_hat = _score(e_a[None], e_b[None], w)
-    return ForwardTrace(steps_a, steps_b, e_a, e_b, combined[0], u1[0], float(r_hat[0]),
-                        x, hs, zrs, cs, rows)
+    return ForwardTrace(x[:len_a, rows[0]], x[:len_b, rows[1]], e_a, e_b, combined[0], u1[0],
+                        float(r_hat[0]), x, hs, zrs, cs, rows, u_zr)
 
 
 def predict(models, seqs, pairs) -> np.ndarray:
@@ -332,7 +316,7 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
     d_final[trace.rows[0]] = d_combined[:h] + d_combined[h:] * sign
     d_final[trace.rows[1]] = d_combined[:h] - d_combined[h:] * sign
     d_in, d_zr, d_uc, db = _block_backward(trace.x, trace.hs, trace.zrs, trace.cs, d_final,
-                                           np.concatenate([w["u_z"], w["u_r"]]), w["u_c"])
+                                           trace.u_zr, w["u_c"])
     return {"w_z": d_in[:h], "u_z": d_zr[:h], "w_r": d_in[h:2 * h], "u_r": d_zr[h:],
             "w_c": d_in[2 * h:], "u_c": d_uc,
             "head_w1": np.outer(da1, trace.combined), "head_w2": (da2 * trace.u1)[None],

@@ -54,6 +54,17 @@ def demo_corpus(tmp_path):
     return load_corpus(path)
 
 
+def corpus_from_findings(correlates, findings) -> Corpus:
+    """A corpus of Finding rows, built through the columns constructor with
+    paper ids coded in first-seen order, as load_corpus codes them."""
+    findings = list(findings)
+    papers: dict[str, int] = {}
+    paper_code = [papers.setdefault(f.paper_id, len(papers)) for f in findings]
+    return Corpus(correlates, [f.correlate_a for f in findings],
+                  [f.correlate_b for f in findings], [f.r for f in findings],
+                  [f.year for f in findings], paper_code, list(papers))
+
+
 def random_corpus(rng, n_correlates=8, n_findings=20):
     """Small random corpus built directly from domain objects."""
     from corrnet.corpus import Correlate
@@ -63,4 +74,4 @@ def random_corpus(rng, n_correlates=8, n_findings=20):
         a, b = rng.choice(n_correlates, size=2, replace=False)
         findings.append(Finding(int(a), int(b), float(rng.uniform(-1, 1)),
                                 f"p{int(rng.integers(3))}", 2010))
-    return Corpus(correlates, findings)
+    return corpus_from_findings(correlates, findings)

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrnet.baseline import baseline_predict, fit_baseline
-from corrnet.corpus import Corpus, Correlate, Finding, split_corpus
+from corrnet.corpus import Correlate, Finding, split_corpus
 
-from conftest import random_corpus
+from conftest import corpus_from_findings, random_corpus
 
 
 def make_corpus(rows):
@@ -14,7 +14,7 @@ def make_corpus(rows):
     ids = sorted({c for a, b, _ in rows for c in (a, b)})
     correlates = {i: Correlate(i, f"c{i}", (f"c{i}",)) for i in ids}
     findings = [Finding(a, b, r, "p1", 2010) for a, b, r in rows]
-    return Corpus(correlates, findings)
+    return corpus_from_findings(correlates, findings)
 
 
 def brute_force_predict(corpus, train_indices, c_i, c_j, global_mean):

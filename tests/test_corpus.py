@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import apply_byte_edits, byte_edits
+from conftest import apply_byte_edits, byte_edits, corpus_from_findings
 from corrnet import corpus as corpus_mod
-from corrnet.corpus import (Corpus, Correlate, CorpusError, Finding, corpus_stats,
+from corrnet.corpus import (Correlate, CorpusError, Finding, corpus_stats,
                             generate_synthetic, load_corpus, save_corpus, split_corpus,
                             untested_fraction)
 from corrnet.embeddings import random_table
@@ -135,11 +135,9 @@ def test_indexes_are_derived_from_findings():
     correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(3)}
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(2, 1, 0.2, "pB", 2010),
                 Finding(1, 0, 0.3, "pA", 2011)]
-    corpus = Corpus(correlates, findings)
+    corpus = corpus_from_findings(correlates, findings)
     assert corpus.pair_index == {(0, 1): (0, 2), (1, 2): (1,)}
     assert corpus.paper_index == {"pA": (0, 2), "pB": (1,)}
-    with pytest.raises(TypeError):
-        Corpus(correlates, findings, {(0, 1): [0]})
 
 
 # The indexes as a dict of lists per key, filled in finding order.
@@ -164,7 +162,7 @@ finding_rows = st.lists(
 def test_indexes_match_reference(rows):
     correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(5)}
     findings = [Finding(a, b, 0.1, paper, 2010) for a, b, paper in rows]
-    corpus = Corpus(correlates, findings)
+    corpus = corpus_from_findings(correlates, findings)
     pairs, papers = index_reference(findings)
     # Same keys in the same (first-report) order, each with its indices in order.
     assert list(corpus.pair_index.items()) == [(k, tuple(v)) for k, v in pairs.items()]
@@ -184,7 +182,7 @@ def test_findings_view_builds_records_from_columns():
     correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(4)}
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(3, 2, -0.5, "pB", 2011),
                 Finding(1, 0, 0.25, "pA", 2012)]
-    view = Corpus(correlates, findings).findings
+    view = corpus_from_findings(correlates, findings).findings
     assert len(view) == 3
     assert view[1] == findings[1] and view[np.int64(2)] == findings[2]
     assert view[-1] == findings[-1]
@@ -202,13 +200,14 @@ def test_findings_view_iterates_in_chunks():
     findings = [Finding(int(a), int(b), float(rng.uniform(-1, 1)), f"p{i % 7}", 1990 + i % 30)
                 for i, (a, b) in enumerate(rng.choice(50, size=(3 * corpus_mod._ITER_CHUNK + 5, 2)))
                 if a != b]
-    assert list(Corpus(correlates, findings).findings) == findings
+    assert list(corpus_from_findings(correlates, findings).findings) == findings
 
 
 def test_pair_index_view_reads_the_int_keyed_index():
     correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(4)}
-    corpus = Corpus(correlates, [Finding(2, 0, 0.1, "p", 2010), Finding(1, 3, 0.2, "p", 2010),
-                                 Finding(0, 2, 0.3, "p", 2010)])
+    corpus = corpus_from_findings(correlates, [Finding(2, 0, 0.1, "p", 2010),
+                                               Finding(1, 3, 0.2, "p", 2010),
+                                               Finding(0, 2, 0.3, "p", 2010)])
     view = corpus.pair_index
     assert view == {(0, 2): (0, 2), (1, 3): (1,)}
     assert len(view) == 2 and list(view) == [(0, 2), (1, 3)]
@@ -303,7 +302,7 @@ def test_load_matches_per_line_reference(tmp_path_factory, rows):
             fh.write("%s\t%d\t%s\t%s\t%.6f\n" % (paper, year, text_a, text_b, micro_r / 1e6))
     loaded = load_corpus(path)
     correlates, findings = load_per_line(path)
-    assert loaded == Corpus(correlates, findings)
+    assert loaded == corpus_from_findings(correlates, findings)
     assert (loaded.a.dtype, loaded.b.dtype, loaded.year.dtype) == (np.int64,) * 3
     assert loaded.a.tolist() == [f.correlate_a for f in findings]
     assert loaded.b.tolist() == [f.correlate_b for f in findings]
@@ -429,7 +428,8 @@ class TestSplit:
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_indices_match_sorted_list_reference(self, n, frac, seed):
         findings = [Finding(0, 1, 0.0, "p", 2010)] * n
-        corpus = Corpus({0: Correlate(0, "a", ("a",)), 1: Correlate(1, "b", ("b",))}, findings)
+        corpus = corpus_from_findings({0: Correlate(0, "a", ("a",)), 1: Correlate(1, "b", ("b",))},
+                                      findings)
         n_train = int(math.floor(frac * n + 0.5))
         order = np.random.default_rng(seed).permutation(n)
         split = split_corpus(corpus, frac, seed)

@@ -20,13 +20,12 @@ FAST = TrainConfig(epochs=2, hidden_size=8, head_width=4, seed=0)
 _train_member = ensemble._train_member
 
 
-def _fail_second_member(args):
+def _fail_second_member(seed, *inputs):
     """Stands in for ensemble._train_member and fails the member of seed 1;
     at module level, so that a worker process can unpickle it."""
-    seed = args[4]
     if seed == 1:
         raise ValueError(f"member with seed {seed}")
-    return _train_member(args)
+    return _train_member(seed, *inputs)
 
 
 @pytest.fixture(scope="module")

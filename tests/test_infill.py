@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from corrnet import neural
-from corrnet.corpus import Corpus, Correlate, Finding
+from corrnet.corpus import Correlate, Finding
 from corrnet.ensemble import Ensemble
 from corrnet.infill import (KIND_DIAGONAL, KIND_PREDICTED, KIND_REPORTED,
                             build_table, export_table)
 from corrnet.neural import init_params, predict
 from corrnet.training import embed_pairs
 
-from conftest import random_corpus
+from conftest import corpus_from_findings, random_corpus
 
 
 def two_paper_corpus():
@@ -18,7 +18,7 @@ def two_paper_corpus():
         Finding(0, 1, 0.3, "pA", 2010),
         Finding(2, 3, -0.2, "pB", 2010),
     ]
-    return Corpus(correlates, findings)
+    return corpus_from_findings(correlates, findings)
 
 
 @pytest.fixture
@@ -34,8 +34,8 @@ def test_two_paper_infill_fraction(model, synth_vocab):
 
 def test_reported_cells_hold_mean_r(model, synth_vocab):
     corpus = two_paper_corpus()
-    corpus = Corpus(corpus.correlates,
-                    list(corpus.findings) + [Finding(0, 1, 0.5, "pC", 2012)])
+    corpus = corpus_from_findings(corpus.correlates,
+                                  list(corpus.findings) + [Finding(0, 1, 0.5, "pC", 2012)])
     ct = build_table(corpus, ["pA", "pB"], model, synth_vocab)
     assert ct.kinds[0, 1] == KIND_REPORTED
     assert ct.values[0, 1] == pytest.approx(0.4)  # mean of 0.3 and 0.5
@@ -45,7 +45,7 @@ def test_fully_reported_paper(model, synth_vocab):
     correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(3)}
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(0, 2, 0.2, "pA", 2010),
                 Finding(1, 2, 0.3, "pA", 2010)]
-    ct = build_table(Corpus(correlates, findings), ["pA"], model, synth_vocab)
+    ct = build_table(corpus_from_findings(correlates, findings), ["pA"], model, synth_vocab)
     assert ct.infill_fraction == 0.0
 
 
@@ -130,7 +130,7 @@ def test_interleaved_papers_match_scan(model, synth_vocab):
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(2, 3, 0.2, "pB", 2010),
                 Finding(4, 1, 0.3, "pA", 2010), Finding(5, 2, 0.4, "pC", 2010),
                 Finding(3, 0, 0.5, "pB", 2010), Finding(1, 0, 0.6, "pA", 2010)]
-    corpus = Corpus(correlates, findings)
+    corpus = corpus_from_findings(correlates, findings)
     rng = np.random.default_rng(6)
     cases = [(corpus, ["pB", "pA"]), (corpus, ["pC", "pA", "pB"])]
     for _ in range(10):

@@ -14,7 +14,7 @@ from corrnet.corpus import generate_synthetic
 from corrnet.embeddings import embed_sequence, random_table
 from corrnet.ensemble import qbc_search
 from corrnet.infill import build_table
-from corrnet.neural import (Ensemble, ModelParams, backward, encode, gradcheck, init_params,
+from corrnet.neural import (Ensemble, ModelParams, backward, gradcheck, init_params,
                             load_checkpoint, predict, predict_pair, save_checkpoint,
                             zero_grads)
 from corrnet.textnorm import MAX_TOKENS
@@ -62,15 +62,16 @@ class TestEncode:
         p = init_params(4, 3, 2, seed=0)
         for name in p.weights:
             p.weights[name][:] = 0.0
-        h = encode(random_seq(np.random.default_rng(0), 4, 5), p)
+        seq = random_seq(np.random.default_rng(0), 4, 5)
+        h = predict_pair(seq, seq, p).e_a
         np.testing.assert_array_equal(h, np.zeros(3))
 
     def test_recurrence_matters(self):
         rng = np.random.default_rng(3)
         p = init_params(4, 3, 2, seed=3)
         x = rng.standard_normal(4)
-        h1 = encode([x], p)
-        h2 = encode([x, x], p)
+        h1 = predict_pair([x], [x], p).e_a
+        h2 = predict_pair([x, x], [x, x], p).e_a
         assert not np.allclose(h1, h2)
 
     def test_scalar_cell_closed_form(self):
@@ -88,12 +89,13 @@ class TestEncode:
             r = sigmoid(w["w_r"] * x + w["u_r"] * h + w["b_r"])
             c = math.tanh(w["w_c"] * x + w["u_c"] * r * h + w["b_c"])
             h = (1 - z) * h + z * c
-        got = encode([np.array([x]) for x in xs], p)
+        seq = [np.array([x]) for x in xs]
+        got = predict_pair(seq, seq, p).e_a
         assert got[0] == pytest.approx(h, abs=1e-14)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            encode([], init_params(2, 2, 2))
+            predict_pair([], [], init_params(2, 2, 2))
 
 
 def reference_gru(seq, w):
@@ -124,6 +126,13 @@ def reference_pair(seq_a, seq_b, w):
     u1 = np.tanh(w["head_w1"] @ combined + w["head_b1"])
     r_hat = float(np.tanh(w["head_w2"] @ u1 + w["head_b2"])[0])
     return steps_a, steps_b, e_a, e_b, combined, u1, r_hat
+
+
+def traced_steps(trace):
+    """a's and b's steps (x, h, zr, c) in predict_pair's trace, sliced from its
+    block by length and row."""
+    return [(trace.x[:k, i], trace.hs[:k + 1, i], trace.zrs[:k, i], trace.cs[:k, i])
+            for k, i in zip((len(trace.steps_a), len(trace.steps_b)), trace.rows)]
 
 
 def perturbed_params(d, h, m, seed):
@@ -179,16 +188,18 @@ class TestPredictPair:
         for x, y in ((a, b), (b, a)):
             trace = predict_pair(x, y, p)
             steps_a, steps_b, e_a, e_b, combined, u1, r_hat = reference_pair(x, y, p.weights)
-            for got, want in ((trace.steps_a, steps_a), (trace.steps_b, steps_b)):
-                assert len(got) == len(want[0])
-                for field, array in zip((got.x, got.h, got.zr, got.c), want):
+            for got, want in zip((trace.steps_a, trace.steps_b), (steps_a, steps_b)):
+                assert np.shares_memory(got, trace.x)
+                assert got.shape == want[0].shape and got.tobytes() == want[0].tobytes()
+            for got, want in zip(traced_steps(trace), (steps_a, steps_b)):
+                for field, array in zip(got, want):
                     assert field.shape == array.shape
                     assert field.tobytes() == array.tobytes()
             for got, want in ((trace.e_a, e_a), (trace.e_b, e_b),
                               (trace.combined, combined), (trace.u1, u1)):
                 assert got.tobytes() == want.tobytes()
             assert trace.r_hat == r_hat
-        assert encode(a, p).tobytes() == reference_gru(a, p.weights)[1][-1].tobytes()
+        assert predict_pair(a, a, p).e_a.tobytes() == reference_gru(a, p.weights)[1][-1].tobytes()
 
 
 class TestPredict:
@@ -289,14 +300,13 @@ class TestPredict:
             with pytest.raises(ValueError, match="^cannot encode an empty sequence$"):
                 predict([init_params(3, 4, 2)], seqs, pairs)
         with pytest.raises(ValueError, match="^cannot encode an empty sequence$"):
-            encode([], init_params(3, 4, 2))
+            predict_pair([], [], init_params(3, 4, 2))
         assert calls == []
 
     @pytest.mark.parametrize("run", [
         lambda m, seqs, corpus, table: predict([m], seqs, [(0, 1)]),
         lambda m, seqs, corpus, table: predict([m], seqs, [(1, 2), (3, 0)]),
         lambda m, seqs, corpus, table: predict_pair(seqs[1], seqs[0], m),
-        lambda m, seqs, corpus, table: encode(seqs[0], m),
         lambda m, seqs, corpus, table: evaluate(m, corpus, [0, 1, 2], table),
         lambda m, seqs, corpus, table: qbc_search(
             Ensemble([m, init_params(3, 4, 2, seed=1)], [0, 1], False), corpus, table, 10, 0),
@@ -323,7 +333,7 @@ class TestPredict:
         message = "^cannot encode vectors of width 2/3/5 with a model of input width d=3$"
         for run in (lambda p: predict([p], [random_seq(rng, 3, 3), ragged], [(0, 1)]),
                     lambda p: predict_pair(random_seq(rng, 3, 3), ragged, p),
-                    lambda p: encode(ragged, p)):
+                    lambda p: predict_pair(ragged, ragged, p).e_a):
             with pytest.raises(ValueError, match=message):
                 run(init_params(3, 4, 2))
         assert calls == []
@@ -376,9 +386,9 @@ def reference_grads(trace, upstream, params):
     grads["head_b1"] += da1
     d_comb = w["head_w1"].T @ da1
     sign = np.sign(trace.e_a - trace.e_b)
-    for s, dh in ((trace.steps_a, d_comb[:n] + d_comb[n:] * sign),
-                  (trace.steps_b, d_comb[:n] - d_comb[n:] * sign)):
-        for name, g in reference_seq_grads(s.x, s.h, s.zr, s.c, dh, w).items():
+    for steps, dh in zip(traced_steps(trace), (d_comb[:n] + d_comb[n:] * sign,
+                                               d_comb[:n] - d_comb[n:] * sign)):
+        for name, g in reference_seq_grads(*steps, dh, w).items():
             grads[name] += g
     return grads
 
@@ -434,9 +444,9 @@ class TestBackward:
         d_ea = d_comb[:3] + d_comb[3:] * sign
         d_eb = d_comb[:3] - d_comb[3:] * sign
 
-        sa, sb = trace.steps_a, trace.steps_b
-        ga = reference_seq_grads(sa.x, sa.h, sa.zr, sa.c, d_ea, w)
-        gb = reference_seq_grads(sb.x, sb.h, sb.zr, sb.c, d_eb, w)
+        sa, sb = traced_steps(trace)
+        ga = reference_seq_grads(*sa, d_ea, w)
+        gb = reference_seq_grads(*sb, d_eb, w)
         for name in ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_c", "u_c", "b_c"):
             np.testing.assert_allclose(full[name], ga[name] + gb[name], atol=1e-14)
 
@@ -484,7 +494,7 @@ class TestBackward:
         p = init_params(4, 3, 2, seed=5)
         trace = predict_pair(random_seq(rng, 4, len_a), random_seq(rng, 4, len_b), p)
         traced = [trace.x, trace.hs, trace.zrs, trace.cs, trace.e_a, trace.e_b,
-                  trace.combined, trace.u1]
+                  trace.combined, trace.u1, trace.u_zr]
         before = [a.tobytes() for a in traced]
         grads = backward(trace, 0.7, p)
         assert grads.keys() == p.weights.keys()
