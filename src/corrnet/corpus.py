@@ -116,9 +116,9 @@ class Corpus:
             np.array(col, dtype=np.int64) for col in (a, b, year, paper_code))
         self.r = np.array(r, dtype=np.float64)
         self.paper_ids = paper_ids
-        lo, hi = np.minimum(self.a, self.b), np.maximum(self.a, self.b)
-        self.key_base = max(max(correlates, default=-1), int(hi.max(initial=-1))) + 1
-        keys = lo * self.key_base + hi
+        self.key_base = max(max(correlates, default=-1), int(self.a.max(initial=-1)),
+                            int(self.b.max(initial=-1))) + 1
+        keys = self.pair_keys(self.a, self.b)
         # Each key gets a 1-tuple of its last finding, in first-report order;
         # only the keys reported more than once are then gathered again.
         self.pair_rows = dict(zip(keys.tolist(), zip(range(len(keys)))))
@@ -140,6 +140,10 @@ class Corpus:
         """The key of the unordered pair {a, b} in pair_rows; both ids must lie
         in [0, key_base)."""
         return a * self.key_base + b if a < b else b * self.key_base + a
+
+    def pair_keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """pair_key of every pair (a[i], b[i]) of two int64 arrays."""
+        return np.minimum(a, b) * self.key_base + np.maximum(a, b)
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):

@@ -46,26 +46,31 @@ def build_table(corpus: Corpus, paper_ids: list[str], model,
     if n < 2:
         raise ValueError("selected papers contribute fewer than 2 correlates")
 
-    values = np.full((n, n), np.nan)
-    kinds = np.full((n, n), KIND_DIAGONAL, dtype=object)
-    unreported: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows = corpus.pair_rows.get(corpus.pair_key(order[i], order[j]))
-            if rows:
-                values[i, j] = values[j, i] = np.mean(corpus.r[list(rows)])
-                kinds[i, j] = kinds[j, i] = KIND_REPORTED
-            else:
-                unreported.append((i, j))
+    # Cell k of the upper triangle, in row-major order, is (iu[k], ju[k]): the
+    # pair of correlates ca[k], cb[k], with pair_rows key keys[k].
+    iu, ju = np.triu_indices(n, 1)
+    order_ids = np.array(order, dtype=np.int64)
+    ca, cb = order_ids[iu], order_ids[ju]
+    keys = corpus.pair_keys(ca, cb)
+    found = list(map(corpus.pair_rows.get, keys.tolist()))
+    reported = np.fromiter(map(bool, found), dtype=bool, count=len(found))
+    # Reported cells keep np.mean's bits: its pairwise sum for several
+    # reports, and 0.0 + r for one (which turns -0.0 into 0.0).
+    means = [corpus.r[rows[0]] + 0.0 if len(rows) == 1 else np.mean(corpus.r[list(rows)])
+             for rows in filter(None, found)]
+    unreported = ~reported
     members = model.members if isinstance(model, Ensemble) else [model]
-    pairs = [(order[i], order[j]) for i, j in unreported]
-    means = predict(members, embed_pairs(corpus, pairs, table), pairs).mean(axis=1)
-    for (i, j), val in zip(unreported, means.tolist()):
-        values[i, j] = values[j, i] = val
-        kinds[i, j] = kinds[j, i] = KIND_PREDICTED
+    pairs = np.column_stack((ca[unreported], cb[unreported]))
+    cells = np.empty(len(keys))
+    cells[reported] = means
+    cells[unreported] = predict(members, embed_pairs(corpus, pairs, table), pairs).mean(axis=1)
+    values = np.full((n, n), np.nan)
+    values[iu, ju] = values[ju, iu] = cells
+    kinds = np.full((n, n), KIND_DIAGONAL, dtype=object)
+    kinds[iu, ju] = kinds[ju, iu] = np.where(reported, KIND_REPORTED, KIND_PREDICTED)
     return CorrelationTable(
         order, [corpus.correlates[c].raw_text for c in order],
-        values, kinds, len(unreported) / (n * (n - 1) // 2))
+        values, kinds, len(pairs) / len(keys))
 
 
 def export_table(ct: CorrelationTable, prefix) -> tuple[str, str]:
@@ -76,21 +81,14 @@ def export_table(ct: CorrelationTable, prefix) -> tuple[str, str]:
     """
     values_path = f"{prefix}.values.tsv"
     mask_path = f"{prefix}.mask.tsv"
-    n = len(ct.correlate_order)
-    header = "\t" + "\t".join(ct.texts)
+    header = "\t" + "\t".join(ct.texts) + "\n"
     with open(values_path, "w", encoding="utf-8") as vf, \
             open(mask_path, "w", encoding="utf-8") as mf:
-        vf.write(header + "\n")
-        mf.write(header + "\n")
-        for i in range(n):
-            row_v = [ct.texts[i]]
-            row_m = [ct.texts[i]]
-            for j in range(n):
-                if i == j:
-                    row_v.append("")
-                else:
-                    row_v.append("%.6f" % ct.values[i, j])
-                row_m.append(str(ct.kinds[i, j]))
-            vf.write("\t".join(row_v) + "\n")
-            mf.write("\t".join(row_m) + "\n")
+        vf.write(header)
+        mf.write(header)
+        for i, (text, row) in enumerate(zip(ct.texts, ct.values.tolist())):
+            cells = ["%.6f" % v for v in row]
+            cells[i] = ""
+            vf.write(text + "\t" + "\t".join(cells) + "\n")
+            mf.write(text + "\t" + "\t".join(ct.kinds[i]) + "\n")
     return values_path, mask_path

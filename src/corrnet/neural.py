@@ -248,16 +248,16 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
 def predict(models, seqs, pairs) -> np.ndarray:
     """Every model's prediction for every pair, shape (len(pairs), len(models)).
 
-    Each correlate named in pairs is encoded once per model from seqs[c], and
-    each distinct token vector (by identity) of those correlates is projected
-    once per model; each pair is scored by predict_pair's head, row by row,
-    so values equal its r_hat bit for bit, in either order and whatever else
-    is in the call."""
-    cids = list(dict.fromkeys(c for pair in pairs for c in pair))
-    inputs = _token_ids([seqs[c] for c in cids], models[0].d)
-    row = {c: i for i, c in enumerate(cids)}
-    ia = np.array([row[a] for a, _ in pairs], dtype=np.intp)
-    ib = np.array([row[b] for _, b in pairs], dtype=np.intp)
+    pairs is a list of (a, b) pairs or an (n, 2) int array. Each correlate
+    named in pairs is encoded once per model from seqs[c], and each distinct
+    token vector (by identity) of those correlates is projected once per
+    model; each pair is scored by predict_pair's head, row by row, so values
+    equal its r_hat bit for bit, in either order and whatever else is in the
+    call."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    cids, inverse = np.unique(pairs, return_inverse=True)
+    ia, ib = inverse.reshape(pairs.shape).T
+    inputs = _token_ids([seqs[c] for c in cids.tolist()], models[0].d)
     out = np.empty((len(pairs), len(models)))
     for k, params in enumerate(models):
         w = params.weights

@@ -102,14 +102,15 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
 
 
 def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable) -> dict[int, list[np.ndarray]]:
-    """The embedded token sequence of every correlate named in pairs."""
-    cids = dict.fromkeys(cid for pair in pairs for cid in pair)
+    """The embedded token sequence of every correlate named in pairs, a list
+    of (a, b) pairs or an (n, 2) int array."""
+    cids = np.unique(np.asarray(pairs, dtype=np.int64)).tolist()
     return {cid: embed_sequence(corpus.correlates[cid].tokens, table) for cid in cids}
 
 
-def _finding_pairs(corpus: Corpus, indices) -> list[tuple[int, int]]:
+def _finding_pairs(corpus: Corpus, indices) -> np.ndarray:
     rows = list(indices)
-    return list(zip(corpus.a[rows].tolist(), corpus.b[rows].tolist()))
+    return np.column_stack((corpus.a[rows], corpus.b[rows]))
 
 
 def _mean_loss(params, corpus, indices, seqs) -> float:
@@ -159,7 +160,8 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
         for start in range(0, len(order), config.batch_size):
             batch = [fit_idx[j] for j in order[start:start + config.batch_size]]
             grads = zero_grads(params)
-            for (a, b), r in zip(_finding_pairs(corpus, batch), corpus.r[batch].tolist()):
+            for a, b, r in zip(corpus.a[batch].tolist(), corpus.b[batch].tolist(),
+                               corpus.r[batch].tolist()):
                 trace = predict_pair(seqs[a], seqs[b], params)
                 epoch_loss += mse_loss(trace.r_hat, r)
                 upstream = 2.0 * (trace.r_hat - r) / len(batch)

@@ -218,6 +218,8 @@ def test_pair_index_view_reads_the_int_keyed_index():
             view[absent]
     assert corpus.pair_rows == {0 * 4 + 2: (0, 2), 1 * 4 + 3: (1,)}
     assert corpus.key_base == 4
+    a, b = np.array([2, 1, 0, 3, 1]), np.array([0, 3, 2, 1, 1])
+    assert corpus.pair_keys(a, b).tolist() == [corpus.pair_key(x, y) for x, y in zip(a, b)]
 
 
 def test_loaded_corpus_tracks_objects_per_correlate_not_per_finding(tmp_path):

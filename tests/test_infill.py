@@ -5,7 +5,7 @@ from corrnet import neural
 from corrnet.corpus import Correlate, Finding
 from corrnet.ensemble import Ensemble
 from corrnet.infill import (KIND_DIAGONAL, KIND_PREDICTED, KIND_REPORTED,
-                            build_table, export_table)
+                            CorrelationTable, build_table, export_table)
 from corrnet.neural import init_params, predict
 from corrnet.training import embed_pairs
 
@@ -143,6 +143,75 @@ def test_interleaved_papers_match_scan(model, synth_vocab):
         assert ct.correlate_order == order
         np.testing.assert_array_equal(ct.values, values)
     assert build_table(*cases[0], model, synth_vocab).correlate_order == [2, 3, 0, 1, 4]
+
+
+def test_reported_means_keep_np_mean_bits(model, synth_vocab):
+    # Nine reports of one pair: np.mean sums them pairwise, which a
+    # sequential sum does not repeat bit for bit. A single report of -0.0
+    # has the mean 0.0.
+    rs = [0.273923, -0.460427, -0.918053, -0.966945, 0.62654, 0.825511, 0.213272,
+          0.458993, 0.08725]
+    sequential = 0.0
+    for r in rs:
+        sequential += r
+    assert sequential / len(rs) != np.mean(rs)
+    correlates = {i: Correlate(i, f"var {i}", (f"var{i}",)) for i in range(5)}
+    findings = [Finding(0, 1, r, "pA", 2010) for r in rs]
+    findings += [Finding(2, 3, -0.0, "pA", 2011), Finding(1, 2, 0.4, "pA", 2011),
+                 Finding(2, 1, -0.1, "pB", 2012), Finding(4, 0, 0.5, "pA", 2012)]
+    corpus = corpus_from_findings(correlates, findings)
+    ct = build_table(corpus, ["pA"], model, synth_vocab)
+    order, values = scan_table(corpus, ["pA"], model, synth_vocab)
+    assert ct.correlate_order == order
+    np.testing.assert_array_equal(ct.values, values)
+    assert ct.values.tobytes() == values.tobytes()
+    assert ct.values[0, 1] == np.mean(rs)
+
+
+def reference_export(ct, prefix):
+    """export_table's former cell-by-cell writer."""
+    values_path = f"{prefix}.values.tsv"
+    mask_path = f"{prefix}.mask.tsv"
+    n = len(ct.correlate_order)
+    header = "\t" + "\t".join(ct.texts)
+    with open(values_path, "w", encoding="utf-8") as vf, \
+            open(mask_path, "w", encoding="utf-8") as mf:
+        vf.write(header + "\n")
+        mf.write(header + "\n")
+        for i in range(n):
+            row_v = [ct.texts[i]]
+            row_m = [ct.texts[i]]
+            for j in range(n):
+                if i == j:
+                    row_v.append("")
+                else:
+                    row_v.append("%.6f" % ct.values[i, j])
+                row_m.append(str(ct.kinds[i, j]))
+            vf.write("\t".join(row_v) + "\n")
+            mf.write("\t".join(row_m) + "\n")
+    return values_path, mask_path
+
+
+def test_export_bytes_equal_reference_writer(tmp_path, model, synth_vocab):
+    # -0.0, values on either side of the 6th decimal's rounding, +-1, a
+    # reported cell and the nan diagonal.
+    upper = {(0, 1): -0.0, (0, 2): 5e-7, (0, 3): -4e-7, (1, 2): 1.0, (1, 3): -1.0,
+             (2, 3): 0.4999995}
+    values = np.full((4, 4), np.nan)
+    kinds = np.full((4, 4), KIND_DIAGONAL, dtype=object)
+    for (i, j), v in upper.items():
+        values[i, j] = values[j, i] = v
+        kinds[i, j] = kinds[j, i] = KIND_PREDICTED
+    kinds[1, 2] = kinds[2, 1] = KIND_REPORTED
+    tables = [CorrelationTable([5, 1, 7, 2], ["alpha", "beta gamma", "\u03b4elta", "e"],
+                               values, kinds, 5 / 6),
+              build_table(two_paper_corpus(), ["pA", "pB"], model, synth_vocab)]
+    for k, ct in enumerate(tables):
+        got = export_table(ct, tmp_path / f"got{k}")
+        want = reference_export(ct, tmp_path / f"want{k}")
+        for got_path, want_path in zip(got, want):
+            with open(got_path, "rb") as g, open(want_path, "rb") as w:
+                assert g.read() == w.read()
 
 
 def read_tsv(path):

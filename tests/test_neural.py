@@ -288,8 +288,24 @@ class TestPredict:
         assert projected == [5] * 3
 
     def test_no_pairs(self):
-        got = predict([init_params(3, 4, 2, seed=k) for k in range(3)], [], [])
-        assert got.shape == (0, 3)
+        models = [init_params(3, 4, 2, seed=k) for k in range(3)]
+        for pairs in ([], np.empty((0, 2), dtype=np.int64)):
+            assert predict(models, [], pairs).shape == (0, 3)
+
+    def test_pair_array_equals_pair_list_bitwise(self):
+        # Correlate ids that are not 0..n-1, named in both orders, repeated
+        # and paired with themselves.
+        rng = np.random.default_rng(9)
+        models = [init_params(4, 3, 2, seed=k) for k in range(2)]
+        seqs = {c: random_seq(rng, 4, int(rng.integers(1, 6))) for c in (42, 3, 20, 7, 11)}
+        ids = list(seqs)
+        pairs = [(ids[i], ids[j]) for i, j in rng.integers(0, len(ids), size=(40, 2)).tolist()]
+        got = predict(models, seqs, pairs)
+        assert got.shape == (40, 2)
+        for array in (np.array(pairs), np.array(pairs, dtype=np.int32)):
+            assert predict(models, seqs, array).tobytes() == got.tobytes()
+        with pytest.raises(ValueError):  # 40 ids are not 20 pairs
+            predict(models, seqs, np.array(pairs)[:20].ravel())
 
     def test_empty_sequence_rejected_before_any_work(self, monkeypatch):
         rng = np.random.default_rng(8)

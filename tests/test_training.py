@@ -6,7 +6,7 @@ from corrnet.corpus import generate_synthetic, split_corpus
 from corrnet.neural import init_params, zero_grads
 from corrnet.stats import DegenerateDataError
 from corrnet.training import (AdamState, TrainConfig, TrainingError, adam_step,
-                              clip_gradients, evaluate, mse_loss, train)
+                              clip_gradients, embed_pairs, evaluate, mse_loss, train)
 
 FAST = TrainConfig(epochs=30, hidden_size=8, head_width=4, seed=0)
 
@@ -156,6 +156,19 @@ def test_train_calls_predict_pair_and_backward_once_per_pair(synth_vocab, monkey
     train(corpus, split, synth_vocab, cfg)
     assert len(forward_traces) == 2 * len(split.train_indices)
     assert [id(t) for t in backward_traces] == [id(t) for t in forward_traces]
+
+
+def test_embed_pairs_takes_a_pair_list_or_array(synth_vocab):
+    corpus, _ = generate_synthetic(12, 20, synth_vocab, seed=4)
+    pairs = list(zip(corpus.b.tolist(), corpus.a.tolist()))
+    from_list = embed_pairs(corpus, pairs, synth_vocab)
+    from_array = embed_pairs(corpus, np.array(pairs), synth_vocab)
+    assert set(from_list) == set(from_array) == {c for pair in pairs for c in pair}
+    assert all(type(c) is int for c in from_array)
+    for c, seq in from_list.items():
+        assert len(seq) == len(from_array[c])
+        assert all(v is w for v, w in zip(seq, from_array[c]))
+    assert embed_pairs(corpus, [], synth_vocab) == {}
 
 
 class TestEvaluate:
