@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -27,9 +26,9 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 # The records are named tuples: immutable, and equal to plain tuples of their
-# fields. A corpus stores no Finding; its `findings` view builds them.
+# fields. A correlate's id is its key in Corpus.correlates. A corpus stores no
+# Finding; its `findings` view builds them.
 class Correlate(NamedTuple):
-    id: int
     raw_text: str
     tokens: tuple[str, ...]
 
@@ -46,12 +45,10 @@ def _pair_key(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-_ITER_CHUNK = 4096  # findings turned into Python scalars at a time while iterating
-
-
 class _Findings(Sequence):
-    """Read-only view of a corpus's findings. Each access builds the Finding
-    from the columns, with Python scalars; nothing per finding is stored."""
+    """Read-only view of a corpus's findings. Each access, iteration included,
+    builds the Finding from the columns, with Python scalars; nothing per
+    finding is stored."""
 
     def __init__(self, a, b, r, paper_ids, paper_code, year):
         self._columns = (a, b, r, paper_ids, paper_code, year)
@@ -63,14 +60,6 @@ class _Findings(Sequence):
         a, b, r, paper_ids, paper_code, year = self._columns
         return Finding(a.item(i), b.item(i), r.item(i), paper_ids[paper_code.item(i)],
                        year.item(i))
-
-    def __iter__(self):
-        a, b, r, paper_ids, paper_code, year = self._columns
-        for start in range(0, len(r), _ITER_CHUNK):
-            chunk = slice(start, start + _ITER_CHUNK)
-            yield from map(Finding._make, zip(
-                a[chunk].tolist(), b[chunk].tolist(), r[chunk].tolist(),
-                map(paper_ids.__getitem__, paper_code[chunk].tolist()), year[chunk].tolist()))
 
 
 class _PairIndex(Mapping):
@@ -103,10 +92,10 @@ class Corpus:
     paper_ids[paper_code[i]]; paper_ids is in first-seen order. A pair of
     correlates lo < hi has the int key lo * key_base + hi, key_base being one
     more than the largest correlate id, and pair_rows maps each reported
-    pair's key to its finding indices in finding order; paper_index does the
-    same per paper id. Index values are tuples of ints, which the cyclic
-    garbage collector stops tracking. `findings` and `pair_index` are
-    read-only views: Finding records, and pair_rows keyed by (lo, hi).
+    pair's key to its finding indices in finding order. Its values are tuples
+    of ints, which the cyclic garbage collector stops tracking. `findings` and
+    `pair_index` are read-only views: Finding records, and pair_rows keyed by
+    (lo, hi).
     """
 
     def __init__(self, correlates: dict[int, Correlate], a, b, r, year, paper_code,
@@ -130,9 +119,6 @@ class Corpus:
                 rows.setdefault(k, []).append(i)
             for k, idx in rows.items():
                 self.pair_rows[k] = tuple(idx)
-        by_paper = iter(np.argsort(self.paper_code, kind="stable").tolist())
-        per_paper = np.bincount(self.paper_code, minlength=len(paper_ids)).tolist()
-        self.paper_index = {pid: tuple(islice(by_paper, n)) for pid, n in zip(paper_ids, per_paper)}
         self.findings = _Findings(self.a, self.b, self.r, paper_ids, self.paper_code, self.year)
         self.pair_index = _PairIndex(self.pair_rows, self.key_base)
 
@@ -181,7 +167,7 @@ class _CorrelateInterner:
         if cid is None:
             cid = len(self.correlates)
             self._by_tokens[tokens] = cid
-            self.correlates[cid] = Correlate(cid, raw_text, tokens)
+            self.correlates[cid] = Correlate(raw_text, tokens)
         return cid
 
 
@@ -356,9 +342,7 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
     ab = np.array(pairs, dtype=np.int64)
     used = np.unique(ab)
     ab = np.searchsorted(used, ab)
-    correlates = {new: Correlate(new, interner.correlates[old].raw_text,
-                                 interner.correlates[old].tokens)
-                  for new, old in enumerate(used.tolist())}
+    correlates = {new: interner.correlates[old] for new, old in enumerate(used.tolist())}
     paper_code = np.arange(n_findings) // 20
     paper_ids = [f"synth{k}" for k in range(int(paper_code[-1]) + 1)]
     return Corpus(correlates, ab[:, 0], ab[:, 1], r, np.full(n_findings, 2010), paper_code,

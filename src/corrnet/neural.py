@@ -49,6 +49,14 @@ class Ensemble:
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError("an ensemble needs at least 2 members")
+        if len(self.member_seeds) != len(self.members):
+            raise ValueError(f"an ensemble of {len(self.members)} members has "
+                             f"{len(self.member_seeds)} member seeds")
+        dims = [(p.d, p.h, p.m) for p in self.members]
+        for k, dim in enumerate(dims):
+            if dim != dims[0]:
+                raise ValueError(f"ensemble member {k} has (d, h, m) = {dim}, "
+                                 f"member 0 has {dims[0]}")
 
 
 def _shapes(d: int, h: int, m: int) -> dict[str, tuple[int, ...]]:

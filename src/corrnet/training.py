@@ -151,7 +151,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
     report = TrainReport()
 
     best_val = math.inf
-    best_params = params.copy()
+    best_params = params
     stale = 0
     for epoch in range(config.epochs):
         epoch_rng = np.random.default_rng((config.seed, epoch))
@@ -182,8 +182,6 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
             stale += 1
             if val_idx and stale > config.early_stop_patience:
                 break
-    if report.best_epoch < 0:
-        best_params = params
     return best_params, report
 
 

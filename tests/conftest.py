@@ -68,7 +68,7 @@ def corpus_from_findings(correlates, findings) -> Corpus:
 def random_corpus(rng, n_correlates=8, n_findings=20):
     """Small random corpus built directly from domain objects."""
     from corrnet.corpus import Correlate
-    correlates = {i: Correlate(i, f"var {i}", (f"var{i}",)) for i in range(n_correlates)}
+    correlates = {i: Correlate(f"var {i}", (f"var{i}",)) for i in range(n_correlates)}
     findings = []
     for _ in range(n_findings):
         a, b = rng.choice(n_correlates, size=2, replace=False)

@@ -132,12 +132,11 @@ def test_pair_index_covers_findings(demo_corpus):
 
 
 def test_indexes_are_derived_from_findings():
-    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(3)}
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in range(3)}
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(2, 1, 0.2, "pB", 2010),
                 Finding(1, 0, 0.3, "pA", 2011)]
     corpus = corpus_from_findings(correlates, findings)
     assert corpus.pair_index == {(0, 1): (0, 2), (1, 2): (1,)}
-    assert corpus.paper_index == {"pA": (0, 2), "pB": (1,)}
 
 
 # The indexes as a dict of lists per key, filled in finding order.
@@ -160,26 +159,27 @@ finding_rows = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(rows=finding_rows)
 def test_indexes_match_reference(rows):
-    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(5)}
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in range(5)}
     findings = [Finding(a, b, 0.1, paper, 2010) for a, b, paper in rows]
     corpus = corpus_from_findings(correlates, findings)
     pairs, papers = index_reference(findings)
     # Same keys in the same (first-report) order, each with its indices in order.
     assert list(corpus.pair_index.items()) == [(k, tuple(v)) for k, v in pairs.items()]
-    assert list(corpus.paper_index.items()) == [(k, tuple(v)) for k, v in papers.items()]
+    # A paper's rows, as build_table reads them from the paper_code column.
+    assert corpus.paper_ids == list(papers)
+    for code, rows in enumerate(papers.values()):
+        assert np.flatnonzero(corpus.paper_code == code).tolist() == rows
 
 
 def test_index_values_are_untracked_tuples(demo_corpus):
-    for index in (demo_corpus.pair_index, demo_corpus.paper_index):
-        assert all(type(idx) is tuple for idx in index.values())
+    assert all(type(idx) is tuple for idx in demo_corpus.pair_index.values())
     gc.collect()
     # A tuple of ints leaves the cyclic collector's care once it has been seen.
     assert not any(gc.is_tracked(idx) for idx in demo_corpus.pair_index.values())
-    assert not any(gc.is_tracked(idx) for idx in demo_corpus.paper_index.values())
 
 
 def test_findings_view_builds_records_from_columns():
-    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(4)}
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in range(4)}
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(3, 2, -0.5, "pB", 2011),
                 Finding(1, 0, 0.25, "pA", 2012)]
     view = corpus_from_findings(correlates, findings).findings
@@ -195,16 +195,18 @@ def test_findings_view_builds_records_from_columns():
 
 
 def test_findings_view_iterates_in_chunks():
-    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(50)}
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in range(50)}
     rng = np.random.default_rng(0)
     findings = [Finding(int(a), int(b), float(rng.uniform(-1, 1)), f"p{i % 7}", 1990 + i % 30)
-                for i, (a, b) in enumerate(rng.choice(50, size=(3 * corpus_mod._ITER_CHUNK + 5, 2)))
+                for i, (a, b) in enumerate(rng.choice(50, size=(12_293, 2)))
                 if a != b]
-    assert list(corpus_from_findings(correlates, findings).findings) == findings
+    view = corpus_from_findings(correlates, findings).findings
+    assert list(view) == findings
+    assert list(view) == [view[i] for i in range(len(view))]
 
 
 def test_pair_index_view_reads_the_int_keyed_index():
-    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(4)}
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in range(4)}
     corpus = corpus_from_findings(correlates, [Finding(2, 0, 0.1, "p", 2010),
                                                Finding(1, 3, 0.2, "p", 2010),
                                                Finding(0, 2, 0.3, "p", 2010)])
@@ -248,7 +250,7 @@ def test_records_are_immutable_tuples(demo_corpus):
     with pytest.raises(AttributeError):
         correlate.tokens = ("x",)
     assert finding == (finding.correlate_a, finding.correlate_b, 0.30, "p1", 2010)
-    assert correlate == (correlate.id, "Job satisfaction", ("job", "satisfaction"))
+    assert correlate == ("Job satisfaction", ("job", "satisfaction"))
     assert Finding(0, 1, 0.2, "p", 2010) == Finding(correlate_a=0, correlate_b=1, r=0.2,
                                                      paper_id="p", year=2010)
 
@@ -268,7 +270,7 @@ def load_per_line(path):
                 tokens = tuple(normalize(text))
                 if tokens not in by_tokens:
                     by_tokens[tokens] = len(correlates)
-                    correlates[len(correlates)] = Correlate(len(correlates), text, tokens)
+                    correlates[len(correlates)] = Correlate(text, tokens)
                 ids.append(by_tokens[tokens])
             findings.append(Finding(ids[0], ids[1], float(r), paper_id, int(year)))
     return correlates, findings
@@ -430,7 +432,7 @@ class TestSplit:
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_indices_match_sorted_list_reference(self, n, frac, seed):
         findings = [Finding(0, 1, 0.0, "p", 2010)] * n
-        corpus = corpus_from_findings({0: Correlate(0, "a", ("a",)), 1: Correlate(1, "b", ("b",))},
+        corpus = corpus_from_findings({0: Correlate("a", ("a",)), 1: Correlate("b", ("b",))},
                                       findings)
         n_train = int(math.floor(frac * n + 0.5))
         order = np.random.default_rng(seed).permutation(n)

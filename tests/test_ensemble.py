@@ -41,6 +41,21 @@ def test_ensemble_needs_two_members():
         Ensemble([p], [0], False)
 
 
+@pytest.mark.parametrize("members, seeds, message", [
+    ([init_params(4, 3, 2), init_params(6, 3, 2)], [0, 1],
+     r"member 1 has \(d, h, m\) = \(6, 3, 2\), member 0 has \(4, 3, 2\)"),
+    ([init_params(4, 3, 2), init_params(4, 3, 2), init_params(4, 5, 2)], [0, 1, 2],
+     r"member 2 has \(d, h, m\) = \(4, 5, 2\), member 0 has \(4, 3, 2\)"),
+    ([init_params(4, 3, 2) for _ in range(3)], [0, 1],
+     "an ensemble of 3 members has 2 member seeds"),
+])
+def test_malformed_ensemble_rejected_when_built(members, seeds, message):
+    # Each would otherwise fail later: in predict's matmul, in
+    # save_checkpoint's stack, or in load_checkpoint of the saved file.
+    with pytest.raises(ValueError, match=message):
+        Ensemble(members, seeds, False)
+
+
 class TestSummary:
     def test_two_member_hand_arithmetic(self):
         est = summarize_rows([[0.1, 0.3]], [(-1, -1)])[0]

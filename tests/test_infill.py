@@ -13,7 +13,7 @@ from conftest import corpus_from_findings, random_corpus
 
 
 def two_paper_corpus():
-    correlates = {i: Correlate(i, f"var {i}", (f"var{i}",)) for i in range(4)}
+    correlates = {i: Correlate(f"var {i}", (f"var{i}",)) for i in range(4)}
     findings = [
         Finding(0, 1, 0.3, "pA", 2010),
         Finding(2, 3, -0.2, "pB", 2010),
@@ -42,7 +42,7 @@ def test_reported_cells_hold_mean_r(model, synth_vocab):
 
 
 def test_fully_reported_paper(model, synth_vocab):
-    correlates = {i: Correlate(i, f"v{i}", (f"v{i}",)) for i in range(3)}
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in range(3)}
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(0, 2, 0.2, "pA", 2010),
                 Finding(1, 2, 0.3, "pA", 2010)]
     ct = build_table(corpus_from_findings(correlates, findings), ["pA"], model, synth_vocab)
@@ -126,7 +126,7 @@ def scan_table(corpus, paper_ids, model, table):
 
 
 def test_interleaved_papers_match_scan(model, synth_vocab):
-    correlates = {i: Correlate(i, f"var {i}", (f"var{i}",)) for i in range(6)}
+    correlates = {i: Correlate(f"var {i}", (f"var{i}",)) for i in range(6)}
     findings = [Finding(0, 1, 0.1, "pA", 2010), Finding(2, 3, 0.2, "pB", 2010),
                 Finding(4, 1, 0.3, "pA", 2010), Finding(5, 2, 0.4, "pC", 2010),
                 Finding(3, 0, 0.5, "pB", 2010), Finding(1, 0, 0.6, "pA", 2010)]
@@ -155,7 +155,7 @@ def test_reported_means_keep_np_mean_bits(model, synth_vocab):
     for r in rs:
         sequential += r
     assert sequential / len(rs) != np.mean(rs)
-    correlates = {i: Correlate(i, f"var {i}", (f"var{i}",)) for i in range(5)}
+    correlates = {i: Correlate(f"var {i}", (f"var{i}",)) for i in range(5)}
     findings = [Finding(0, 1, r, "pA", 2010) for r in rs]
     findings += [Finding(2, 3, -0.0, "pA", 2011), Finding(1, 2, 0.4, "pA", 2011),
                  Finding(2, 1, -0.1, "pB", 2012), Finding(4, 0, 0.5, "pA", 2012)]

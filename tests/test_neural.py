@@ -326,7 +326,7 @@ class TestPredict:
         lambda m, seqs, corpus, table: evaluate(m, corpus, [0, 1, 2], table),
         lambda m, seqs, corpus, table: qbc_search(
             Ensemble([m, init_params(3, 4, 2, seed=1)], [0, 1], False), corpus, table, 10, 0),
-        lambda m, seqs, corpus, table: build_table(corpus, sorted(corpus.paper_index), m, table),
+        lambda m, seqs, corpus, table: build_table(corpus, sorted(corpus.paper_ids), m, table),
     ])
     def test_vector_width_mismatch_rejected_before_any_work(self, monkeypatch, run):
         # A d=3 model given 5-dim vectors: seqs[0] is 5 wide, the rest 3 wide.

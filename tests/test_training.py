@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,19 @@ class TestTrain:
         split = split_corpus(corpus, 0.8, seed=1)
         _, report = train(corpus, split, synth_vocab, FAST)
         assert report.val_losses[report.best_epoch] == min(report.val_losses)
+
+    def test_returns_the_best_epochs_weights(self, synth_vocab):
+        # A patience above the epoch count runs training past its best epoch;
+        # the weights returned are those of a run that ends at that epoch.
+        corpus, _ = generate_synthetic(12, 20, synth_vocab, noise_sd=0.1, seed=5)
+        split = split_corpus(corpus, 0.8, seed=1)
+        cfg = replace(FAST, seed=3, early_stop_patience=100)
+        params, report = train(corpus, split, synth_vocab, cfg)
+        assert len(report.val_losses) == cfg.epochs
+        assert 0 < report.best_epoch < cfg.epochs - 1
+        stopped, _ = train(corpus, split, synth_vocab, replace(cfg, epochs=report.best_epoch + 1))
+        for name in params.weights:
+            np.testing.assert_array_equal(params.weights[name], stopped.weights[name])
 
     def test_empty_train_set(self, synth_vocab):
         corpus, _ = generate_synthetic(8, 6, synth_vocab, seed=2)
