@@ -107,15 +107,20 @@ def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[
     chosen: list[tuple[int, int]] = []
     seen: set[int] = set()  # pair keys
     while len(chosen) < n_candidates:
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        pair = _pair_key(ids[int(i)], ids[int(j)])
-        key = corpus.pair_key(*pair)
-        if key in seen or key in corpus.pair_rows:
-            continue
-        seen.add(key)
-        chosen.append(pair)
+        # A (k, 2) draw holds the values of k draws of 2, in order, and the
+        # generator is local, so drawing more pairs than are kept changes nothing.
+        draws = rng.integers(0, n, size=(max(64, 2 * (n_candidates - len(chosen))), 2))
+        for i, j in draws.tolist():
+            if i == j:
+                continue
+            pair = _pair_key(ids[i], ids[j])
+            key = corpus.pair_key(*pair)
+            if key in seen or key in corpus.pair_rows:
+                continue
+            seen.add(key)
+            chosen.append(pair)
+            if len(chosen) == n_candidates:
+                break
     return chosen
 
 

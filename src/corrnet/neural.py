@@ -24,15 +24,47 @@ _MATRIX_SPECS = [
 _BIAS_SPECS = [("b_z", "h"), ("b_r", "h"), ("b_c", "h"), ("head_b1", "m"), ("head_b2", "one")]
 
 
-@dataclass
+# The GRU's stacked kernels and the named weights each one holds, in row order.
+_STACKS = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r")}
+
+
+class _Weights(dict):
+    """A model's named weights. A name stays bound to its array, since the
+    GRU's are views of the model's stacked kernels: binding it to another
+    array raises, and w[k] -= g, which binds w[k] to itself, is allowed."""
+
+    def __setitem__(self, name, value):
+        if value is not self.get(name):
+            raise TypeError(f"cannot rebind weight {name!r}; update it in place")
+
+    def _fixed(self, *args, **kwargs):
+        raise TypeError("a model's weights are fixed; update them in place")
+
+    __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _fixed
+
+
 class ModelParams:
-    d: int
-    h: int
-    m: int
-    weights: dict[str, np.ndarray]
+    """A model's dims and float64 weights, copied from weights on
+    construction. The GRU's input kernel [w_z; w_r; w_c], its bias
+    [b_z; b_r; b_c] and the recurrent kernel [u_z; u_r] are stored once, as
+    w_in, b_in and u_zr; the named weights w_z to b_c are row views of them,
+    so an in-place update through either name is seen by both."""
+
+    def __init__(self, d: int, h: int, m: int, weights):
+        self.d, self.h, self.m = d, h, m
+        own = {}
+        for stack, names in _STACKS.items():
+            kernel = np.concatenate([weights[k] for k in names], dtype=np.float64)
+            setattr(self, stack, kernel)
+            own.update((k, kernel[i * h:(i + 1) * h]) for i, k in enumerate(names))
+        self.weights = _Weights((k, own[k] if k in own else np.array(weights[k], dtype=np.float64))
+                                for k in _shapes(d, h, m))
+
+    def __reduce__(self):
+        return ModelParams, (self.d, self.h, self.m, dict(self.weights))
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.d, self.h, self.m, {k: v.copy() for k, v in self.weights.items()})
+        return ModelParams(self.d, self.h, self.m, self.weights)
 
     def assert_finite(self) -> None:
         for name, w in self.weights.items():
@@ -86,18 +118,14 @@ def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
     return {k: np.zeros(v.shape) for k, v in params.weights.items()}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 @dataclass
 class ForwardTrace:
     """predict_pair's pass. x, hs, zrs and cs are its 2-row block's inputs
     (L, 2, d), states (L + 1, 2, h), gates (L, 2, 2h) and candidates
     (L, 2, h), zero at every padded step; a runs in block row rows[0] and b
     in rows[1]. steps_a and steps_b are views of their own input rows, e_a
-    and e_b of their final states, and u_zr is the [u_z; u_r] kernel the
-    block ran with."""
+    and e_b of their final states, and u_zr is the model's stacked [u_z; u_r]
+    kernel that the block ran with."""
     steps_a: np.ndarray
     steps_b: np.ndarray
     e_a: np.ndarray
@@ -118,14 +146,6 @@ class ForwardTrace:
 _BLOCK = 32
 
 
-def _kernels(w) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The stacked input kernel [w_z; w_r; w_c], its bias, and the recurrent
-    kernels [u_z; u_r] and u_c."""
-    return (np.concatenate([w["w_z"], w["w_r"], w["w_c"]]),
-            np.concatenate([w["b_z"], w["b_r"], w["b_c"]]),
-            np.concatenate([w["u_z"], w["u_r"]]), w["u_c"])
-
-
 def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     """m @ a[i] for every row i, one gemv per row: m.T is a view, so each row
     makes the same BLAS call, with the same bits, as m @ a[i] alone."""
@@ -138,23 +158,47 @@ def _project(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray) -> np.ndarray:
     return _rows(x, w_in) + b_in
 
 
-def _encode_block(a, lengths, u_zr, u_c, hs=None, zrs=None, cs=None) -> np.ndarray:
-    """Final states of up to _BLOCK sequences sorted longest first, given
+def _encode_block(a, lengths, u_zr, u_c, hs=None, zrs=None, cs=None) -> np.ndarray | None:
+    """Final states (B, h) of up to _BLOCK sequences sorted longest first, given
     their padded input projections a (L, B, 3h) and lengths (B,); the rows
     still running at step t are a prefix, and each row's bits do not depend
-    on the other rows. Given hs (L + 1, B, h) with hs[0] zero, zrs (L, B, 2h)
-    and cs (L, B, h), step t's starting state, gates [z; r] and candidate of
-    each running row are also written into hs[t], zrs[t] and cs[t]."""
-    n = len(u_c)
-    h = np.zeros((a.shape[1], n))
-    for t, k in enumerate((lengths[:, None] > np.arange(len(a))).sum(axis=0)):
-        h_t, a_t = h[:k], a[t, :k]
-        zr = _sigmoid(a_t[:, :2 * n] + _rows(h_t, u_zr))
-        c = np.tanh(a_t[:, 2 * n:] + _rows(zr[:, n:] * h_t, u_c))
-        h[:k] = h_t + zr[:, :n] * (c - h_t)
-        if hs is not None:
-            zrs[t, :k], cs[t, :k], hs[t + 1, :k] = zr, c, h[:k]
-    return h
+    on the other rows. Given zero trace arrays hs (L + 1, B, h), zrs
+    (L, B, 2h) and cs (L, B, h) instead, step t reads each running row's
+    state from hs[t] and computes its gates [z; r], candidate and new state
+    straight into zrs[t], cs[t] and hs[t + 1], and nothing is returned."""
+    n, k = len(u_c), len(lengths)
+    # Every operand is viewed (rows, 1, width), as matmul takes each row.
+    a = a[:, :, None]
+    a_zr, a_c, u_zr_t, u_c_t = a[..., :2 * n], a[..., 2 * n:], u_zr.T, u_c.T
+    if hs is None:  # one state per row, updated in place, and one step's scratch
+        h, zr_k, c_k, tmp_k = (np.zeros((k, 1, n)), np.empty((k, 1, 2 * n)),
+                               np.empty((k, 1, n)), np.empty((k, 1, n)))
+    else:
+        hs, zrs, cs = hs[:, :, None], zrs[:, :, None], cs[:, :, None]
+    for t in range(len(a)):
+        while lengths[k - 1] <= t:
+            k -= 1
+        if hs is None:
+            h_t, zr, c, tmp = h[:k], zr_k[:k], c_k[:k], tmp_k[:k]
+            h_next = h_t
+        else:
+            h_t, zr, c, tmp = hs[t, :k], zrs[t, :k], cs[t, :k], hs[t + 1, :k]
+            h_next = tmp
+        np.matmul(h_t, u_zr_t, out=zr)  # _rows(h_t, u_zr), in place
+        zr += a_zr[t, :k]
+        zr *= 0.5  # sigmoid(x) = 0.5 * (1 + tanh(0.5 * x))
+        np.tanh(zr, out=zr)
+        zr += 1.0
+        zr *= 0.5
+        z, r = zr[..., :n], zr[..., n:]
+        np.multiply(r, h_t, out=tmp)
+        np.matmul(tmp, u_c_t, out=c)
+        c += a_c[t, :k]
+        np.tanh(c, out=c)
+        np.subtract(c, h_t, out=tmp)
+        tmp *= z
+        np.add(h_t, tmp, out=h_next)  # h + z * (c - h)
+    return h[:, 0] if hs is None else None
 
 
 def _inputs(seqs, d: int) -> list[np.ndarray]:
@@ -205,18 +249,18 @@ def _token_ids(seqs, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, padded.reshape(len(ids), width).T, lengths
 
 
-def _encode(x, ids, lengths, w) -> np.ndarray:
+def _encode(x, ids, lengths, params: ModelParams) -> np.ndarray:
     """Final hidden states of _token_ids' sequences, shape (len(lengths), h):
     each distinct token is projected once, and each row equals predict_pair's
     final state for that sequence bit for bit."""
     order = np.argsort(-lengths, kind="stable")
-    w_in, b_in, u_zr, u_c = _kernels(w)
-    a = np.zeros((len(x) + 1, len(b_in)))  # the last row is the padding id's
-    a[:-1] = _project(x, w_in, b_in)
-    out = np.empty((len(lengths), len(u_c)))
+    a = np.zeros((len(x) + 1, 3 * params.h))  # the last row is the padding id's
+    a[:-1] = _project(x, params.w_in, params.b_in)
+    out = np.empty((len(lengths), params.h))
     for s in range(0, len(order), _BLOCK):
         block = order[s:s + _BLOCK]
-        out[block] = _encode_block(a[ids[:lengths[block[0]], block]], lengths[block], u_zr, u_c)
+        out[block] = _encode_block(a[ids[:lengths[block[0]], block]], lengths[block].tolist(),
+                                   params.u_zr, params.weights["u_c"])
     return out
 
 
@@ -240,17 +284,16 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     n, length = params.h, max(map(len, xs))
     x, hs = np.zeros((length, 2, params.d)), np.zeros((length + 1, 2, n))
     zrs, cs = np.zeros((length, 2, 2 * n)), np.zeros((length, 2, n))
-    w_in, b_in, u_zr, u_c = _kernels(w)
-    a = np.zeros((length, 2, 3 * n))
+    a = np.empty((length, 2, 3 * n))  # a padded step's projection is never read
     for seq_x, i in zip(xs, rows):
         x[:len(seq_x), i] = seq_x
-        a[:len(seq_x), i] = _project(seq_x, w_in, b_in)
-    _encode_block(a, np.array([len(xs[i]) for i in rows]), u_zr, u_c, hs, zrs, cs)
+        a[:len(seq_x), i] = _project(seq_x, params.w_in, params.b_in)
+    _encode_block(a, [len(xs[i]) for i in rows], params.u_zr, w["u_c"], hs, zrs, cs)
     len_a, len_b = map(len, xs)
     e_a, e_b = hs[len_a, rows[0]], hs[len_b, rows[1]]
     combined, u1, r_hat = _score(e_a[None], e_b[None], w)
     return ForwardTrace(x[:len_a, rows[0]], x[:len_b, rows[1]], e_a, e_b, combined[0], u1[0],
-                        float(r_hat[0]), x, hs, zrs, cs, rows, u_zr)
+                        float(r_hat[0]), x, hs, zrs, cs, rows, params.u_zr)
 
 
 def predict(models, seqs, pairs) -> np.ndarray:
@@ -268,10 +311,10 @@ def predict(models, seqs, pairs) -> np.ndarray:
     inputs = _token_ids([seqs[c] for c in cids.tolist()], models[0].d)
     out = np.empty((len(pairs), len(models)))
     for k, params in enumerate(models):
-        w = params.weights
-        enc = _encode(*inputs, w)
+        enc = _encode(*inputs, params)
         for s in range(0, len(pairs), _BLOCK):
-            out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]], w)[2]
+            out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]],
+                                          params.weights)[2]
     return out
 
 
@@ -383,7 +426,7 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
             raise ValueError(f"{path}: {name} has shape {stored[name].shape}, expected "
                              f"{lead + shape} for d={d}, h={h}, m={m}"
                              + (f" and {lead[0]} member seeds" if lead else ""))
-    weights = {k: v.astype(np.float64) for k, v in stored.items()}
+    weights = {k: v.astype(np.float64, copy=False) for k, v in stored.items()}  # copied below
     if bad := [k for k, v in weights.items() if not np.isfinite(v).all()]:
         raise ValueError(f"{path}: non-finite values in parameter {bad[0]}")
     if seeds is None:

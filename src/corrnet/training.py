@@ -83,7 +83,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, n
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig) -> None:
-    """One Adam update in place, after global-norm clipping.
+    """One Adam update of every weight array in place, after global-norm
+    clipping, so the GRU's named weights stay views of the stacked kernels.
 
     A non-finite gradient rejects the step and leaves parameters untouched.
     """
@@ -98,7 +99,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1 ** state.t)
         v_hat = state.v[name] / (1 - b2 ** state.t)
-        params.weights[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        w = params.weights[name]
+        w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable) -> dict[int, list[np.ndarray]]:
@@ -187,7 +189,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
 
 def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable) -> dict:
     """Predict each listed finding and correlate predictions with reports."""
-    if not indices:
+    if len(indices) == 0:  # not "not indices": a numpy array has no truth value
         raise ValueError("no finding indices to evaluate")
     pairs = _finding_pairs(corpus, indices)
     r_hats = predict([params], embed_pairs(corpus, pairs, table), pairs)[:, 0].tolist()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrnet import ensemble
-from corrnet.corpus import generate_synthetic, split_corpus
+from corrnet.corpus import Corpus, generate_synthetic, split_corpus
 from corrnet.embeddings import embed_sequence
 from corrnet.ensemble import (Ensemble, EnsembleEstimate, disagreement_trend,
                               ensemble_estimate, qbc_search,
@@ -26,6 +26,24 @@ def _fail_second_member(seed, *inputs):
     if seed == 1:
         raise ValueError(f"member with seed {seed}")
     return _train_member(seed, *inputs)
+
+
+def reference_sample(corpus, n_candidates, seed):
+    """sample_untested_pairs drawing one pair of ids per integers call."""
+    ids = sorted(corpus.correlates)
+    rng = np.random.default_rng(seed)
+    chosen, seen = [], set()
+    while len(chosen) < n_candidates:
+        i, j = rng.integers(0, len(ids), size=2)
+        if i == j:
+            continue
+        pair = (min(ids[i], ids[j]), max(ids[i], ids[j]))
+        key = corpus.pair_key(*pair)
+        if key in seen or key in corpus.pair_rows:
+            continue
+        seen.add(key)
+        chosen.append(pair)
+    return chosen
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +235,33 @@ class TestQbcSearch:
             swapped = ensemble_estimate(ens, seq_b, seq_a, (b, a))
             assert (swapped.mean, swapped.disagreement, swapped.ci_half_width) == \
                    (e.mean, e.disagreement, e.ci_half_width)
+
+    @pytest.mark.parametrize("n_correlates, n_findings", [(4, 3), (6, 5), (12, 30), (30, 40),
+                                                          (200, 2000)])
+    def test_bulk_draws_equal_the_pairwise_draws(self, synth_vocab, n_correlates, n_findings):
+        corpus, _ = generate_synthetic(n_correlates, n_findings, synth_vocab, seed=n_correlates)
+        n = len(corpus.correlates)
+        available = n * (n - 1) // 2 - len(corpus.pair_rows)
+        # Near-exhaustive requests on the small corpora, where they are cheap.
+        requests = ({1, 100, 1000} if n > 30 else
+                    {1, min(available, 25), available // 2, available - 1, available} - {0})
+        assert requests and max(requests) <= available
+        for n_candidates in sorted(requests):
+            for seed in range(12):
+                assert sample_untested_pairs(corpus, n_candidates, seed) == \
+                    reference_sample(corpus, n_candidates, seed)
+
+    def test_bulk_draws_map_sparse_ids(self, synth_vocab):
+        # Correlate ids that are not 0..n-1: draws index the sorted ids.
+        corpus, _ = generate_synthetic(9, 12, synth_vocab, seed=3)
+        ids = [3, 7, 8, 20, 21, 40, 41, 42, 99]
+        sparse = Corpus({i: corpus.correlates[k] for k, i in enumerate(ids)},
+                        [ids[c] for c in corpus.a.tolist()], [ids[c] for c in corpus.b.tolist()],
+                        corpus.r, corpus.year, corpus.paper_code, corpus.paper_ids)
+        for seed in range(20):
+            got = sample_untested_pairs(sparse, 20, seed)
+            assert got == reference_sample(sparse, 20, seed)
+            assert {c for pair in got for c in pair} <= set(ids)
 
     def test_all_pairs_tested_errors(self, synth_vocab):
         corpus, _ = generate_synthetic(4, 6, synth_vocab, seed=0)  # complete graph

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import re
 import tempfile
 
@@ -18,7 +19,7 @@ from corrnet.neural import (Ensemble, ModelParams, backward, gradcheck, init_par
                             load_checkpoint, predict, predict_pair, save_checkpoint,
                             zero_grads)
 from corrnet.textnorm import MAX_TOKENS
-from corrnet.training import evaluate
+from corrnet.training import AdamState, TrainConfig, adam_step, evaluate
 
 
 def sigmoid(x):
@@ -55,6 +56,113 @@ class TestInit:
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             init_params(0, 3, 2)
+
+
+STACKS = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r")}
+
+
+def assert_stacked(p):
+    """Each of p's GRU weights is its own row block of one stacked kernel."""
+    for stack, names in STACKS.items():
+        kernel = getattr(p, stack)
+        assert kernel.dtype == np.float64 and kernel.flags.c_contiguous
+        start = 0
+        for name in names:
+            w, block = p.weights[name], kernel[start:start + len(p.weights[name])]
+            assert (w.shape, w.strides, w.ctypes.data) == (block.shape, block.strides,
+                                                           block.ctypes.data), name
+            start += len(w)
+        assert start == len(kernel)
+
+
+def spec_order_draws(d, h, m, seed):
+    """init_params' values drawn here in spec order, as plain arrays."""
+    rng, sizes = np.random.default_rng(seed), {"d": d, "h": h, "m": m, "two_h": 2 * h, "one": 1}
+    weights = {}
+    for name, out_key, in_key in neural._MATRIX_SPECS:
+        shape = (sizes[out_key], sizes[in_key])
+        s = np.sqrt(6.0 / sum(shape))
+        weights[name] = rng.uniform(-s, s, size=shape)
+    weights.update((name, np.zeros(sizes[key])) for name, key in neural._BIAS_SPECS)
+    return weights
+
+
+class TestStackedKernels:
+    def test_init_params_draws_in_spec_order_into_the_stacks(self):
+        p = init_params(5, 4, 3, seed=17)
+        assert_stacked(p)
+        want = spec_order_draws(5, 4, 3, 17)
+        assert list(p.weights) == list(want)
+        for name, w in want.items():
+            assert p.weights[name].tobytes() == w.tobytes(), name
+
+    def test_copy_and_pickle_own_their_stacks(self):
+        p = perturbed_params(5, 4, 3, seed=2)
+        for q in (p.copy(), pickle.loads(pickle.dumps(p))):
+            assert_stacked(q)
+            assert_same_weights(p, q)
+            for stack in STACKS:
+                assert not np.shares_memory(getattr(q, stack), getattr(p, stack))
+
+    def test_checkpoints_load_into_stacks_with_unchanged_bytes(self, tmp_path):
+        p = perturbed_params(5, 4, 3, seed=3)
+        ens = Ensemble([p, perturbed_params(5, 4, 3, seed=4)], [3, 4], True)
+        for model in (p, ens):
+            loaded = round_trip(model)
+            members = loaded.members if isinstance(model, Ensemble) else [loaded]
+            for q in members:
+                assert_stacked(q)
+            for i, q in enumerate(members):
+                for other in members[i + 1:]:
+                    assert not np.shares_memory(q.w_in, other.w_in)
+        # The file holds the named weights in spec order, as plain arrays would.
+        save_checkpoint(p, tmp_path / "stacked")
+        with open(tmp_path / "plain", "wb") as fh:
+            np.savez(fh, __format_version=np.array([1]), __dims=np.array([5, 4, 3]),
+                     **{k: v.copy() for k, v in p.weights.items()})
+        assert (tmp_path / "stacked").read_bytes() == (tmp_path / "plain").read_bytes()
+
+    def test_adam_step_updates_the_stacks_in_place(self):
+        p = init_params(4, 3, 2, seed=5)
+        kernels = {stack: getattr(p, stack) for stack in STACKS}
+        before = p.w_in.copy()
+        grads = {k: np.full(w.shape, 0.1) for k, w in p.weights.items()}
+        adam_step(p, grads, AdamState.for_params(p), TrainConfig())
+        assert_stacked(p)
+        assert all(getattr(p, stack) is kernel for stack, kernel in kernels.items())
+        assert not np.array_equal(p.w_in, before)
+
+    def test_rebinding_a_weight_is_refused(self):
+        p = init_params(4, 3, 2, seed=6)
+        want = {k: v.copy() for k, v in p.weights.items()}
+        for rebind in (lambda w: w.__setitem__("w_z", np.zeros((3, 4))),
+                       lambda w: w.__setitem__("u_r", w["u_r"].copy()),
+                       lambda w: w.__setitem__("extra", np.zeros(3)),
+                       lambda w: w.__delitem__("b_c"),
+                       lambda w: w.update(w_r=np.zeros((3, 4))),
+                       lambda w: w.pop("u_z"),
+                       lambda w: w.setdefault("extra", np.zeros(3)),
+                       lambda w: w.clear()):
+            with pytest.raises(TypeError):
+                rebind(p.weights)
+        assert_stacked(p)
+        assert_same_weights(ModelParams(4, 3, 2, want), p)
+
+    def test_in_place_updates_reach_the_forward(self):
+        # w[k] -= g binds w[k] to itself; the stacks, and so every forward,
+        # see it, as they see a write through a slice.
+        rng = np.random.default_rng(7)
+        a, b = random_seq(rng, 4, 3), random_seq(rng, 4, 5)
+        p = init_params(4, 3, 2, seed=7)
+        p.weights["u_r"] -= 0.5
+        p.weights["w_c"][1:] = 2.0
+        p.weights["b_z"] += 0.25
+        assert_stacked(p)
+        fresh = ModelParams(4, 3, 2, {k: v.copy() for k, v in p.weights.items()})
+        assert predict_pair(a, b, p).r_hat == predict_pair(a, b, fresh).r_hat
+        assert predict([p], [a, b], [(0, 1)]).tobytes() == \
+            predict([fresh], [a, b], [(0, 1)]).tobytes()
+        assert predict_pair(a, b, p).r_hat != predict_pair(a, b, init_params(4, 3, 2, 7)).r_hat
 
 
 class TestEncode:
@@ -142,6 +250,50 @@ def perturbed_params(d, h, m, seed):
     for w in p.weights.values():
         w += 0.5 * rng.standard_normal(w.shape) / np.sqrt(w.shape[-1])
     return p
+
+
+def reference_traced_block(a, lengths, w):
+    """The states, gates and candidates of a block sorted longest first, one
+    row and one step at a time, with the stacked recurrent kernels; zero at
+    every padded step."""
+    n = len(w["b_z"])
+    u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
+    size, rows = a.shape[:2]
+    hs, zrs = np.zeros((size + 1, rows, n)), np.zeros((size, rows, 2 * n))
+    cs = np.zeros((size, rows, n))
+    for i, length in enumerate(lengths):
+        for t in range(length):
+            h_t, a_t = hs[t, i], a[t, i]
+            zr = 0.5 * (1.0 + np.tanh(0.5 * (a_t[:2 * n] + u_zr @ h_t)))
+            c = np.tanh(a_t[2 * n:] + u_c @ (zr[n:] * h_t))
+            zrs[t, i], cs[t, i], hs[t + 1, i] = zr, c, h_t + zr[:n] * (c - h_t)
+    return hs, zrs, cs
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([*range(1, 13), 300]),
+       h=st.integers(1, 12), len_a=st.integers(1, MAX_TOKENS), len_b=st.integers(1, MAX_TOKENS))
+@example(seed=0, d=300, h=64, len_a=MAX_TOKENS, len_b=1)
+@example(seed=1, d=8, h=64, len_a=7, len_b=7)
+@example(seed=2, d=1, h=1, len_a=1, len_b=1)
+def test_traced_block_equals_per_step_reference_bitwise(seed, d, h, len_a, len_b):
+    # A 2-row block as predict_pair runs it; its padded projections are nan,
+    # so a step that read one would show.
+    p = perturbed_params(d, h, 1, seed)
+    rng = np.random.default_rng(seed)
+    lengths = sorted((len_a, len_b), reverse=True)
+    a = np.full((lengths[0], 2, 3 * h), np.nan)
+    for i, length in enumerate(lengths):
+        a[:length, i] = neural._project(rng.standard_normal((length, d)), p.w_in, p.b_in)
+    hs, zrs, cs = (np.zeros((lengths[0] + 1, 2, h)), np.zeros((lengths[0], 2, 2 * h)),
+                   np.zeros((lengths[0], 2, h)))
+    assert neural._encode_block(a, lengths, p.u_zr, p.weights["u_c"], hs, zrs, cs) is None
+    for got, want in zip((hs, zrs, cs), reference_traced_block(a, lengths, p.weights)):
+        assert got.tobytes() == want.tobytes()
+    # The untraced block runs the same steps into its own state.
+    final = neural._encode_block(a, lengths, p.u_zr, p.weights["u_c"])
+    for i, length in enumerate(lengths):
+        assert final[i].tobytes() == hs[length, i].tobytes()
 
 
 class TestPredictPair:

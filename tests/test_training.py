@@ -202,6 +202,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, corpus, [], synth_vocab)
 
+    def test_index_array_equals_index_tuple(self, synth_vocab):
+        corpus, _ = generate_synthetic(10, 15, synth_vocab, noise_sd=0.1, seed=6)
+        split = split_corpus(corpus, 0.8, seed=0)
+        params = init_params(synth_vocab.dim, 8, 4, seed=0)
+        want = evaluate(params, corpus, split.test_indices, synth_vocab)
+        assert len(want["predictions"]) == len(split.test_indices) > 1
+        assert evaluate(params, corpus, np.array(split.test_indices), synth_vocab) == want
+        with pytest.raises(ValueError, match="^no finding indices to evaluate$"):
+            evaluate(params, corpus, np.array([], dtype=np.int64), synth_vocab)
+
     def test_zero_variance_error(self, tmp_path, synth_vocab):
         from corrnet.corpus import load_corpus
         path = tmp_path / "flat.tsv"
