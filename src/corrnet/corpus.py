@@ -88,7 +88,7 @@ class Corpus:
     """Correlates, and findings kept as one array per field.
 
     Finding i reports correlation r[i] between correlates a[i] and b[i]
-    (int64 ids; r float64), published in year[i] by paper
+    (non-negative int64 ids; r float64), published in year[i] by paper
     paper_ids[paper_code[i]]; paper_ids is in first-seen order. A pair of
     correlates lo < hi has the int key lo * key_base + hi, key_base being one
     more than the largest correlate id, and pair_rows maps each reported
@@ -105,6 +105,10 @@ class Corpus:
             np.array(col, dtype=np.int64) for col in (a, b, year, paper_code))
         self.r = np.array(r, dtype=np.float64)
         self.paper_ids = paper_ids
+        low = min(min(correlates, default=0), int(self.a.min(initial=0)),
+                  int(self.b.min(initial=0)))
+        if low < 0:
+            raise ValueError(f"negative correlate id {low}")
         self.key_base = max(max(correlates, default=-1), int(self.a.max(initial=-1)),
                             int(self.b.max(initial=-1))) + 1
         keys = self.pair_keys(self.a, self.b)

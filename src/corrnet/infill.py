@@ -81,13 +81,18 @@ def export_table(ct: CorrelationTable, prefix) -> tuple[str, str]:
     """
     values_path = f"{prefix}.values.tsv"
     mask_path = f"{prefix}.mask.tsv"
+    # Each distinct float64 bit pattern is formatted once; a build_table
+    # table holds every value twice, and -0.0 keeps its own pattern.
+    values = np.asarray(ct.values, dtype=np.float64)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    formatted = np.array(["%.6f" % v for v in distinct.view(np.float64).tolist()], dtype=object)
+    rows = formatted[inverse.reshape(values.shape)].tolist()
     header = "\t" + "\t".join(ct.texts) + "\n"
     with open(values_path, "w", encoding="utf-8") as vf, \
             open(mask_path, "w", encoding="utf-8") as mf:
         vf.write(header)
         mf.write(header)
-        for i, (text, row) in enumerate(zip(ct.texts, ct.values.tolist())):
-            cells = ["%.6f" % v for v in row]
+        for i, (text, cells) in enumerate(zip(ct.texts, rows)):
             cells[i] = ""
             vf.write(text + "\t" + "\t".join(cells) + "\n")
             mf.write(text + "\t" + "\t".join(ct.kinds[i]) + "\n")

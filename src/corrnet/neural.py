@@ -141,9 +141,11 @@ class ForwardTrace:
     u_zr: np.ndarray
 
 
-# Rows per block of predict's encoder and head: bounds the padded input
-# projections to (L, _BLOCK, 3h) whatever the number of correlates.
-_BLOCK = 32
+# Rows per block of predict's encoder and pairs per block of its head. A
+# block gathers its padded input projections, (L, _BLOCK, 3h), whatever the
+# number of correlates: at most 32 x 256 x 192 x 8 B = 12.6 MB for
+# textnorm's MAX_TOKENS = 32 and h = 64.
+_BLOCK = 256
 
 
 def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -392,9 +394,9 @@ def save_checkpoint(model: ModelParams | Ensemble, path) -> None:
 
 def load_checkpoint(path) -> ModelParams | Ensemble:
     """Load a save_checkpoint file, checking its format version, its
-    parameter names and every shape against its stored dims and, for an
-    ensemble, its member count. A file that numpy cannot read as an archive
-    of arrays fails with its path named."""
+    parameter names, that every weight is floating point, and every shape
+    against its stored dims and, for an ensemble, its member count. A file
+    that numpy cannot read as an archive of arrays fails with its path named."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             stored = {k: data[k] for k in data.files}
@@ -426,6 +428,9 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
             raise ValueError(f"{path}: {name} has shape {stored[name].shape}, expected "
                              f"{lead + shape} for d={d}, h={h}, m={m}"
                              + (f" and {lead[0]} member seeds" if lead else ""))
+        if stored[name].dtype.kind != "f":  # a complex or boolean cast would lose data silently
+            raise ValueError(f"{path}: {name} has dtype {stored[name].dtype}, "
+                             "expected floating point")
     weights = {k: v.astype(np.float64, copy=False) for k, v in stored.items()}  # copied below
     if bad := [k for k, v in weights.items() if not np.isfinite(v).all()]:
         raise ValueError(f"{path}: non-finite values in parameter {bad[0]}")

@@ -224,6 +224,19 @@ def test_pair_index_view_reads_the_int_keyed_index():
     assert corpus.pair_keys(a, b).tolist() == [corpus.pair_key(x, y) for x, y in zip(a, b)]
 
 
+@pytest.mark.parametrize("correlate_ids, finding", [
+    ([-2, 0, 1], (0, 1)),  # key_base would equal the correlate count
+    ([0, 1, 2], (1, -3)),
+    ([0, 1, 2], (-4, 2)),
+])
+def test_negative_correlate_id_is_refused(correlate_ids, finding):
+    # Pair keys and the QBC sampler's direct draws assume ids >= 0.
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in correlate_ids}
+    low = min(*correlate_ids, *finding)
+    with pytest.raises(ValueError, match=f"^negative correlate id {low}$"):
+        corpus_from_findings(correlates, [Finding(*finding, 0.1, "p", 2010)])
+
+
 def test_loaded_corpus_tracks_objects_per_correlate_not_per_finding(tmp_path):
     """The collector tracks no per-finding object: 20,000 findings over 200
     correlates add a few objects per correlate."""

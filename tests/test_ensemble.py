@@ -263,6 +263,22 @@ class TestQbcSearch:
             assert got == reference_sample(sparse, 20, seed)
             assert {c for pair in got for c in pair} <= set(ids)
 
+    def test_contiguous_ids_equal_the_sorted_ids_path(self, synth_vocab):
+        # Ids 0..n-1 are drawn from directly; mapped in order onto gapped ids,
+        # which take the sorted-ids path, the same draws give the same pairs.
+        corpus, _ = generate_synthetic(200, 2000, synth_vocab, seed=8)
+        n = len(corpus.correlates)
+        assert corpus.key_base == n
+        ids = (3 * np.arange(n) + 5).tolist()
+        gapped = Corpus({ids[c]: corpus.correlates[c] for c in reversed(range(n))},
+                        [ids[c] for c in corpus.a.tolist()], [ids[c] for c in corpus.b.tolist()],
+                        corpus.r, corpus.year, corpus.paper_code, corpus.paper_ids)
+        assert gapped.key_base > n
+        for n_candidates, seed in [(1, 0), (100, 1), (1000, 2), (5000, 3)]:
+            got = sample_untested_pairs(corpus, n_candidates, seed)
+            assert [(ids[a], ids[b]) for a, b in got] == \
+                sample_untested_pairs(gapped, n_candidates, seed)
+
     def test_all_pairs_tested_errors(self, synth_vocab):
         corpus, _ = generate_synthetic(4, 6, synth_vocab, seed=0)  # complete graph
         with pytest.raises(ValueError, match="0 untested"):

@@ -203,9 +203,20 @@ def test_export_bytes_equal_reference_writer(tmp_path, model, synth_vocab):
         values[i, j] = values[j, i] = v
         kinds[i, j] = kinds[j, i] = KIND_PREDICTED
     kinds[1, 2] = kinds[2, 1] = KIND_REPORTED
+    # A table that is not symmetric, with repeated values, 0.0 beside -0.0,
+    # and off-diagonal nans of either sign.
+    neg_nan = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+    pool = np.array([0.0, -0.0, 0.25, -0.125, 1 / 3, 5e-7, -5e-7, np.nan, neg_nan])
+    rng = np.random.default_rng(6)
+    asymmetric = pool[rng.integers(0, len(pool), size=(7, 7))]
+    asymmetric[0, 1:3], asymmetric[1:3, 0] = (0.0, -0.0), (-0.0, np.nan)
+    assert not np.array_equal(asymmetric, asymmetric.T, equal_nan=True)
     tables = [CorrelationTable([5, 1, 7, 2], ["alpha", "beta gamma", "\u03b4elta", "e"],
                                values, kinds, 5 / 6),
-              build_table(two_paper_corpus(), ["pA", "pB"], model, synth_vocab)]
+              build_table(two_paper_corpus(), ["pA", "pB"], model, synth_vocab),
+              CorrelationTable(list(range(7)), [f"v{i}" for i in range(7)], asymmetric,
+                               np.where(np.eye(7, dtype=bool), KIND_DIAGONAL, KIND_PREDICTED),
+                               1.0)]
     for k, ct in enumerate(tables):
         got = export_table(ct, tmp_path / f"got{k}")
         want = reference_export(ct, tmp_path / f"want{k}")

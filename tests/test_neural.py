@@ -3,6 +3,7 @@ import os
 import pickle
 import re
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -377,13 +378,13 @@ class TestPredict:
         for k in (0, 57, 199):
             assert predict([p], seqs, [pairs[k]])[0, 0] == batch[k, 0]
 
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
-           m=st.integers(1, 6), n=st.integers(70, 90), n_models=st.integers(1, 2))
-    @example(seed=0, d=300, h=64, m=32, n=70, n_models=1)
-    def test_blocks_equal_predict_pair_bitwise(self, seed, d, h, m, n, n_models):
-        # 70 or more correlates span at least three encoder blocks, of
-        # lengths 1 to MAX_TOKENS; pairs come in both orders and repeated.
+    @staticmethod
+    def assert_blocks_equal_predict_pair(seed, d, h, m, n, n_models):
+        # n correlates of lengths 1 to MAX_TOKENS; pairs come in both orders
+        # and repeated, and span at least three head blocks with a short last
+        # one, as the correlates span three encoder blocks.
+        block = neural._BLOCK
+        assert n > 3 * block and n % block
         rng = np.random.default_rng(seed)
         models = [perturbed_params(d, h, m, seed + k) for k in range(n_models)]
         lengths = rng.integers(1, MAX_TOKENS + 1, size=n)
@@ -391,10 +392,43 @@ class TestPredict:
         seqs = [random_seq(rng, d, int(length)) for length in lengths]
         pairs = [(i, int(j)) for i, j in enumerate(rng.permutation(n))]
         pairs += [(b, a) for a, b in pairs[:20]] + pairs[5:15]
+        if len(pairs) % block == 0:
+            pairs.append(pairs[0])
         got = predict(models, seqs, pairs)
         for row, (a, b) in zip(got, pairs):
             for value, p in zip(row, models):
                 assert value == predict_pair(seqs[a], seqs[b], p).r_hat
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
+           m=st.integers(1, 6), block=st.integers(2, 24), short=st.integers(1, 23),
+           n_models=st.integers(1, 2))
+    @example(seed=0, d=300, h=64, m=32, block=23, short=1, n_models=1)
+    def test_blocks_equal_predict_pair_bitwise(self, seed, d, h, m, block, short, n_models):
+        # Blocks of a narrower width, so that a call spans three or more.
+        n = 3 * block + 1 + (short - 1) % (block - 1)
+        with mock.patch.object(neural, "_BLOCK", block):
+            self.assert_blocks_equal_predict_pair(seed, d, h, m, n, n_models)
+
+    def test_blocks_equal_predict_pair_bitwise_at_shipped_width(self):
+        self.assert_blocks_equal_predict_pair(3, 5, 6, 4, 3 * neural._BLOCK + 17, 2)
+
+    def test_blocks_hold_at_most_block_rows(self, monkeypatch):
+        # Each encoder block gathers at most _BLOCK rows' projections and each
+        # head block scores at most _BLOCK pairs: the bound on predict's memory.
+        block, encoded, scored = neural._BLOCK, [], []
+        encode_block, score = neural._encode_block, neural._score
+        monkeypatch.setattr(neural, "_encode_block",
+                            lambda a, *args: encoded.append(a.shape[1]) or encode_block(a, *args))
+        monkeypatch.setattr(neural, "_score",
+                            lambda e_a, *args: scored.append(len(e_a)) or score(e_a, *args))
+        rng = np.random.default_rng(4)
+        n, n_pairs = 2 * block + 5, 3 * block + 7
+        seqs = [random_seq(rng, 3, int(k)) for k in rng.integers(1, MAX_TOKENS + 1, size=n)]
+        pairs = [(i % n, (7 * i + 1) % n) for i in range(n_pairs)]
+        predict([init_params(3, 2, 2, seed=k) for k in range(2)], seqs, pairs)
+        assert encoded == [block, block, 5] * 2
+        assert scored == [block, block, block, 7] * 2
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), h=st.integers(1, 12),
@@ -757,6 +791,25 @@ def test_checkpoint_mismatch_names_file(tmp_path, corrupt, message):
     with pytest.raises(ValueError, match=message) as exc:
         load_checkpoint(path)
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("ensemble", [False, True])
+@pytest.mark.parametrize("cast", [lambda w: w + 1j, lambda w: w > 0,
+                                  lambda w: (w * 9).astype(np.int64)],
+                         ids=["complex", "bool", "int64"])
+def test_checkpoint_with_non_float_weights_names_file(tmp_path, ensemble, cast):
+    # A cast to float64 would drop the imaginary part, or read booleans and
+    # integers as weights, so any non-floating dtype is refused.
+    members = [init_params(4, 3, 2, seed=k) for k in range(2)]
+    path = tmp_path / "model.npz"
+    save_checkpoint(Ensemble(members, [0, 1], False) if ensemble else members[0], path)
+    with np.load(path) as data:
+        stored = dict(data)
+    stored["u_c"] = cast(stored["u_c"])
+    np.savez(path, **stored)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: u_c has dtype "
+                                         f"{stored['u_c'].dtype}, expected floating point$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("write, message", [
