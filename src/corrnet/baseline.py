@@ -30,10 +30,7 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     n = len(train)
     if not n:
         raise ValueError("train set is empty")
-    n_findings = corpus.n_findings
-    bad = train[(train < 0) | (train >= n_findings)]
-    if len(bad):
-        raise ValueError(f"train index {bad[0]} outside the corpus's {n_findings} findings")
+    corpus.check_indices(train, "train")
     ids = np.empty(2 * n, dtype=np.int64)  # a0, b0, a1, b1, ...
     ids[0::2] = corpus.a[train]
     ids[1::2] = corpus.b[train]
@@ -44,7 +41,7 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     seen = np.flatnonzero(counts)
     per_correlate = dict(zip(seen.tolist(), zip(sums[seen].tolist(), counts[seen].tolist())))
     return BaselineModel(per_correlate, float(np.cumsum(r)[-1]) / n, corpus,
-                         np.bincount(train, minlength=n_findings), mode)
+                         np.bincount(train, minlength=corpus.n_findings), mode)
 
 
 def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:

@@ -151,6 +151,15 @@ class Corpus:
     def n_findings(self) -> int:
         return len(self.r)
 
+    def check_indices(self, indices, role: str) -> None:
+        """Refuse finding indices outside [0, n_findings), naming the first by
+        its role; numpy would wrap a negative one to a finding silently."""
+        idx = np.asarray(indices)
+        bad = idx[(idx < 0) | (idx >= self.n_findings)]
+        if len(bad):
+            raise ValueError(f"{role} index {bad[0]} outside the corpus's "
+                             f"{self.n_findings} findings")
+
 
 @dataclass(frozen=True)
 class Split:

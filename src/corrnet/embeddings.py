@@ -36,23 +36,23 @@ def _header(fields: list[str]) -> tuple[int, int] | None:
         return None
 
 
-def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTable:
-    """Load a vector text file, optionally restricted to a token set.
+def load_embeddings(path) -> EmbeddingTable:
+    """Load a vector text file: every non-blank row after an optional header.
 
-    One streaming pass parses the loaded rows into one (V, d) float64 matrix,
-    and the mean vector is computed over them. Every row must be as wide as
-    the first, and a "<count> <dim>" header must match the rows, filtered or
-    not. A loaded row with an unparseable, nan or inf component, or whose
-    token was already loaded, is an error naming its line.
+    One streaming pass parses the rows into one (V, d) float64 matrix, and
+    the mean vector, which out-of-vocabulary tokens get, is computed over
+    every row of the file. Every row must be as wide as the first, and a
+    "<count> <dim>" header must match the rows. A row with an unparseable,
+    nan or inf component, or whose token came before, is an error naming
+    its line.
     """
-    index: dict[str, int] = {}  # each loaded token's line, in file order
+    index: dict[str, int] = {}  # each token's line, in file order
     header = dim = error = None
-    n_rows = 0
 
     def rows():
-        """The component text of each loaded row. The first error seen here
-        ends the walk, so a bad row parsed before it is still reported first."""
-        nonlocal header, dim, error, n_rows
+        """The component text of each row. The first error seen here ends the
+        walk, so a bad row parsed before it is still reported first."""
+        nonlocal header, dim, error
         with open(path, encoding="utf-8") as fh, utf8_errors(path, EmbeddingError):
             for lineno, line in enumerate(fh, start=1):
                 parts = line.split(None, 1)
@@ -60,9 +60,7 @@ def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTabl
                     continue
                 if lineno == 1 and (header := _header(line.split())):
                     continue
-                n_rows += 1
                 token, values = parts[0], parts[1] if len(parts) == 2 else ""
-                loaded = vocab_filter is None or token in vocab_filter
                 if dim is None:
                     dim = len(values.split())
                     if dim == 0:
@@ -70,19 +68,18 @@ def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTabl
                     elif header and header[1] != dim:
                         error = EmbeddingError(f"{path}:1: header gives {header[1]} "
                                                f"components, the vectors have {dim}")
-                # Width-check the rows loadtxt will not: those it never sees, and
-                # an empty one, which it would skip, shifting every later vector
-                # onto the wrong token. A duplicate's width error comes first.
-                elif not (loaded and values) or token in index:
+                # Width-check the two rows loadtxt must not see: an empty one,
+                # which it would skip, shifting every later vector onto the
+                # wrong token, and a duplicate, whose width error comes first.
+                elif not values or token in index:
                     if (n := len(values.split())) != dim:
                         error = _width_error(path, lineno, dim, n)
-                if error is None and loaded and token in index:
+                if error is None and token in index:
                     error = EmbeddingError(f"{path}:{lineno}: duplicated token {token!r}")
                 if error is not None:
                     return
-                if loaded:
-                    index[token] = lineno
-                    yield values
+                index[token] = lineno
+                yield values
 
     lines = rows()
     first = next(lines, None)
@@ -100,9 +97,9 @@ def load_embeddings(path, vocab_filter: set[str] | None = None) -> EmbeddingTabl
                                  f"for {len(index)} tokens")
     if error is not None:
         raise error
-    if header and header[0] != n_rows:
+    if header and header[0] != len(index):
         raise EmbeddingError(f"{path}:1: header gives {header[0]} vectors, "
-                             f"the file has {n_rows}")
+                             f"the file has {len(index)}")
     if matrix is None:
         raise EmbeddingError(f"{path}: no vectors loaded")
     return _table(list(index), matrix, f"{path}: ")

@@ -37,9 +37,11 @@ def build_table(corpus: Corpus, paper_ids: list[str], model,
     """
     ids: list[int] = []  # a, b of each of the papers' findings, in order
     for pid in paper_ids:
-        if pid not in corpus.paper_ids:
-            raise ValueError(f"unknown paper id {pid!r}")
-        rows = np.flatnonzero(corpus.paper_code == corpus.paper_ids.index(pid))
+        try:
+            code = corpus.paper_ids.index(pid)
+        except ValueError:
+            raise ValueError(f"unknown paper id {pid!r}") from None
+        rows = np.flatnonzero(corpus.paper_code == code)
         ids += np.column_stack((corpus.a[rows], corpus.b[rows])).ravel().tolist()
     order = list(dict.fromkeys(ids))
     n = len(order)

@@ -14,16 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# (name, fan_out_key, fan_in_key); matrices are stored (fan_out, fan_in).
-_MATRIX_SPECS = [
-    ("w_z", "h", "d"), ("u_z", "h", "h"),
-    ("w_r", "h", "d"), ("u_r", "h", "h"),
-    ("w_c", "h", "d"), ("u_c", "h", "h"),
-    ("head_w1", "m", "two_h"), ("head_w2", "one", "m"),
-]
-_BIAS_SPECS = [("b_z", "h"), ("b_r", "h"), ("b_c", "h"), ("head_b1", "m"), ("head_b2", "one")]
-
-
 # The GRU's stacked kernels and the named weights each one holds, in row order.
 _STACKS = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r")}
 
@@ -92,11 +82,11 @@ class Ensemble:
 
 
 def _shapes(d: int, h: int, m: int) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape: the matrices, then the biases, in spec order."""
-    sizes = {"d": d, "h": h, "m": m, "two_h": 2 * h, "one": 1}
-    shapes = {name: (sizes[out_key], sizes[in_key]) for name, out_key, in_key in _MATRIX_SPECS}
-    shapes.update({name: (sizes[size_key],) for name, size_key in _BIAS_SPECS})
-    return shapes
+    """Every parameter's shape: the matrices, stored (fan_out, fan_in), then
+    the biases. init_params draws, and a checkpoint stores, in this order."""
+    return {"w_z": (h, d), "u_z": (h, h), "w_r": (h, d), "u_r": (h, h),
+            "w_c": (h, d), "u_c": (h, h), "head_w1": (m, 2 * h), "head_w2": (1, m),
+            "b_z": (h,), "b_r": (h,), "b_c": (h,), "head_b1": (m,), "head_b2": (1,)}
 
 
 def init_params(d: int, h: int, m: int, seed: int = 0) -> ModelParams:
@@ -123,9 +113,8 @@ class ForwardTrace:
     """predict_pair's pass. x, hs, zrs and cs are its 2-row block's inputs
     (L, 2, d), states (L + 1, 2, h), gates (L, 2, 2h) and candidates
     (L, 2, h), zero at every padded step; a runs in block row rows[0] and b
-    in rows[1]. steps_a and steps_b are views of their own input rows, e_a
-    and e_b of their final states, and u_zr is the model's stacked [u_z; u_r]
-    kernel that the block ran with."""
+    in rows[1]. steps_a and steps_b are views of their own input rows, and
+    e_a and e_b of their final states."""
     steps_a: np.ndarray
     steps_b: np.ndarray
     e_a: np.ndarray
@@ -138,7 +127,6 @@ class ForwardTrace:
     zrs: np.ndarray
     cs: np.ndarray
     rows: tuple[int, int]
-    u_zr: np.ndarray
 
 
 # Rows per block of predict's encoder and pairs per block of its head. A
@@ -295,7 +283,7 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     e_a, e_b = hs[len_a, rows[0]], hs[len_b, rows[1]]
     combined, u1, r_hat = _score(e_a[None], e_b[None], w)
     return ForwardTrace(x[:len_a, rows[0]], x[:len_b, rows[1]], e_a, e_b, combined[0], u1[0],
-                        float(r_hat[0]), x, hs, zrs, cs, rows, params.u_zr)
+                        float(r_hat[0]), x, hs, zrs, cs, rows)
 
 
 def predict(models, seqs, pairs) -> np.ndarray:
@@ -369,7 +357,7 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
     d_final[trace.rows[0]] = d_combined[:h] + d_combined[h:] * sign
     d_final[trace.rows[1]] = d_combined[:h] - d_combined[h:] * sign
     d_in, d_zr, d_uc, db = _block_backward(trace.x, trace.hs, trace.zrs, trace.cs, d_final,
-                                           trace.u_zr, w["u_c"])
+                                           params.u_zr, w["u_c"])
     return {"w_z": d_in[:h], "u_z": d_zr[:h], "w_r": d_in[h:2 * h], "u_r": d_zr[h:],
             "w_c": d_in[2 * h:], "u_c": d_uc,
             "head_w1": np.outer(da1, trace.combined), "head_w2": (da2 * trace.u1)[None],

@@ -136,6 +136,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
     indices = list(train_indices if train_indices is not None else split.train_indices)
     if not indices:
         raise TrainingError("empty train set")
+    corpus.check_indices(indices, "train")
     rng = np.random.default_rng(config.seed)
 
     n_val = int(round(config.val_fraction * len(indices)))
@@ -191,6 +192,7 @@ def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable
     """Predict each listed finding and correlate predictions with reports."""
     if len(indices) == 0:  # not "not indices": a numpy array has no truth value
         raise ValueError("no finding indices to evaluate")
+    corpus.check_indices(indices, "evaluated")
     pairs = _finding_pairs(corpus, indices)
     r_hats = predict([params], embed_pairs(corpus, pairs, table), pairs)[:, 0].tolist()
     r_vals = corpus.r[list(indices)].tolist()

@@ -37,13 +37,6 @@ def test_mean_vector(tmp_path):
     np.testing.assert_allclose(table.mean_vector, [0.5, 0.5])
 
 
-def test_vocab_filter(tmp_path):
-    path = write(tmp_path, "job 1 0\nage 0 1\nwage 1 1\n")
-    table = load_embeddings(path, vocab_filter={"job"})
-    assert set(table.vectors) == {"job"}
-    np.testing.assert_allclose(table.mean_vector, [1, 0])
-
-
 def test_inconsistent_dim(tmp_path):
     path = write(tmp_path, "a 1 0\nb 0 1 2\n")
     with pytest.raises(EmbeddingError, match=":2"):
@@ -67,11 +60,6 @@ def test_bad_row_names_its_line(tmp_path, text, message):
     assert str(exc.value) == f"{path}{message}"
 
 
-def test_rows_outside_filter_are_not_checked(tmp_path):
-    path = write(tmp_path, "a 1 0\nb nan 1\nb 0 1\n")
-    assert set(load_embeddings(path, vocab_filter={"a"}).vectors) == {"a"}
-
-
 def test_empty_file(tmp_path):
     with pytest.raises(EmbeddingError, match="no vectors"):
         load_embeddings(write(tmp_path, ""))
@@ -85,48 +73,40 @@ def test_line_order_insensitive(tmp_path):
         np.testing.assert_array_equal(t1.vectors[tok], t2.vectors[tok])
 
 
-@pytest.mark.parametrize("text, vocab, message", [
-    ("a 1 0\nb\nc 0 1\n", None, ":2: expected 2 components, got 0"),
-    ("a 1 0\nb 0 1 2\nc 1 1\n", {"a", "c"}, ":2: expected 2 components, got 3"),
-    ("a 1 0\nb 0 1\nc 0 zz\n", None, ":3: unparseable vector component"),
-    ("a 1 0\nb 0 1\nc 0 1_0\n", None, ":3: unparseable vector component"),
-    ("3 2\na 1 0\nb 0 1\n", None, ":1: header gives 3 vectors, the file has 2"),
-    ("3 2\na 1 0\nb 0 1\n", {"a"}, ":1: header gives 3 vectors, the file has 2"),
-    ("2 3\na 1 0\nb 0 1\n", None, ":1: header gives 3 components, the vectors have 2"),
-], ids=["token-only-row", "width-outside-filter", "unparseable", "underscore-digits",
-        "truncated", "truncated-filtered", "header-dim"])
-def test_bad_file_names_its_line(tmp_path, text, vocab, message):
+@pytest.mark.parametrize("text, message", [
+    ("a 1 0\nb\nc 0 1\n", ":2: expected 2 components, got 0"),
+    ("a 1 0\nb 0 1 2\nc 1 1\n", ":2: expected 2 components, got 3"),
+    ("a 1 0\nb 0 1\nc 0 zz\n", ":3: unparseable vector component"),
+    ("a 1 0\nb 0 1\nc 0 1_0\n", ":3: unparseable vector component"),
+    ("3 2\na 1 0\nb 0 1\n", ":1: header gives 3 vectors, the file has 2"),
+    ("2 3\na 1 0\nb 0 1\n", ":1: header gives 3 components, the vectors have 2"),
+], ids=["token-only-row", "wide-row", "unparseable", "underscore-digits", "truncated",
+        "header-dim"])
+def test_bad_file_names_its_line(tmp_path, text, message):
     path = write(tmp_path, text)
     with pytest.raises(EmbeddingError) as exc:
-        load_embeddings(path, vocab_filter=vocab)
+        load_embeddings(path)
     assert str(exc.value) == f"{path}{message}"
 
 
-@pytest.mark.parametrize("vocab", [None, {"cat"}])
-def test_invalid_utf8_names_the_file_and_line(tmp_path, vocab):
-    # Line 4 is outside the filter, but every line must still decode.
+def test_invalid_utf8_names_the_file_and_line(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_bytes(b"3 2\ncat 0.1 0.2\ndog 0.3 0.4\nd\xa6g 0.5 0.6\n")
     with pytest.raises(EmbeddingError, match=f"^{re.escape(str(path))}:4: not valid UTF-8$"):
-        load_embeddings(path, vocab)
+        load_embeddings(path)
 
 
 @seed(22)
 @settings(max_examples=40, deadline=None)
-@given(edits=byte_edits, vocab=st.sampled_from([None, {"café", "über"}]))
-def test_mutated_file_loads_or_names_the_file(tmp_path_factory, edits, vocab):
+@given(edits=byte_edits)
+def test_mutated_file_loads_or_names_the_file(tmp_path_factory, edits):
     path = write(tmp_path_factory.mktemp("vectors"),
                  "3 2\ncafé 0.5 -1.25\nüber 2e-3 4\nnaïve -0.75 1.5\n")
     apply_byte_edits(path, edits)
     try:
-        load_embeddings(path, vocab)
+        load_embeddings(path)
     except EmbeddingError as exc:
         assert str(exc).startswith(f"{path}")
-
-
-def test_header_counts_filtered_rows(tmp_path):
-    path = write(tmp_path, "3 2\na 1 0\nb 0 1\nc 1 1\n")
-    assert list(load_embeddings(path, vocab_filter={"a", "c"}).vectors) == ["a", "c"]
 
 
 def test_hash_token_is_a_word(tmp_path):

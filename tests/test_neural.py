@@ -77,14 +77,18 @@ def assert_stacked(p):
 
 
 def spec_order_draws(d, h, m, seed):
-    """init_params' values drawn here in spec order, as plain arrays."""
-    rng, sizes = np.random.default_rng(seed), {"d": d, "h": h, "m": m, "two_h": 2 * h, "one": 1}
+    """init_params' values drawn here in its order (the matrices, then the
+    biases), as plain arrays; the names and shapes are listed here, not read
+    from neural, so they check its table."""
+    rng = np.random.default_rng(seed)
+    matrices = [("w_z", (h, d)), ("u_z", (h, h)), ("w_r", (h, d)), ("u_r", (h, h)),
+                ("w_c", (h, d)), ("u_c", (h, h)), ("head_w1", (m, 2 * h)), ("head_w2", (1, m))]
     weights = {}
-    for name, out_key, in_key in neural._MATRIX_SPECS:
-        shape = (sizes[out_key], sizes[in_key])
+    for name, shape in matrices:
         s = np.sqrt(6.0 / sum(shape))
         weights[name] = rng.uniform(-s, s, size=shape)
-    weights.update((name, np.zeros(sizes[key])) for name, key in neural._BIAS_SPECS)
+    biases = [("b_z", h), ("b_r", h), ("b_c", h), ("head_b1", m), ("head_b2", 1)]
+    weights.update((name, np.zeros(size)) for name, size in biases)
     return weights
 
 
@@ -696,7 +700,7 @@ class TestBackward:
         p = init_params(4, 3, 2, seed=5)
         trace = predict_pair(random_seq(rng, 4, len_a), random_seq(rng, 4, len_b), p)
         traced = [trace.x, trace.hs, trace.zrs, trace.cs, trace.e_a, trace.e_b,
-                  trace.combined, trace.u1, trace.u_zr]
+                  trace.combined, trace.u1, p.u_zr]
         before = [a.tobytes() for a in traced]
         grads = backward(trace, 0.7, p)
         assert grads.keys() == p.weights.keys()

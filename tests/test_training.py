@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrnet import training
+from corrnet.baseline import fit_baseline
 from corrnet.corpus import generate_synthetic, split_corpus
 from corrnet.neural import init_params, zero_grads
 from corrnet.stats import DegenerateDataError
@@ -184,6 +185,24 @@ def test_embed_pairs_takes_a_pair_list_or_array(synth_vocab):
         assert len(seq) == len(from_array[c])
         assert all(v is w for v, w in zip(seq, from_array[c]))
     assert embed_pairs(corpus, [], synth_vocab) == {}
+
+
+@pytest.mark.parametrize("bad", [-1, 20])
+@pytest.mark.parametrize("role, call", [
+    ("train", lambda corpus, vocab, idx: fit_baseline(corpus, idx)),
+    ("train", lambda corpus, vocab, idx: train(
+        corpus, split_corpus(corpus, 0.8, seed=0), vocab,
+        TrainConfig(epochs=1, hidden_size=4, head_width=2), train_indices=idx)),
+    ("evaluated", lambda corpus, vocab, idx: evaluate(
+        init_params(vocab.dim, 4, 2, seed=0), corpus, idx, vocab)),
+], ids=["fit_baseline", "train", "evaluate"])
+def test_index_outside_corpus_is_refused(synth_vocab, role, call, bad):
+    # Unchecked, numpy wraps -1 to the last finding and fails on 20 with an
+    # IndexError that names no finding count.
+    corpus, _ = generate_synthetic(12, 20, synth_vocab, seed=5)
+    with pytest.raises(ValueError,
+                       match=f"^{role} index {bad} outside the corpus's 20 findings$"):
+        call(corpus, synth_vocab, [bad, 0, 1])
 
 
 class TestEvaluate:
