@@ -66,7 +66,7 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     if seen_i is not None and seen_j is not None:  # both ids are then in the corpus
         corpus = model.corpus
         # corpus.pair_key, inlined: this runs once per predicted pair.
-        key = c_i * corpus.key_base + c_j if c_i < c_j else c_j * corpus.key_base + c_i
+        key = c_i * corpus.n_correlates + c_j if c_i < c_j else c_j * corpus.n_correlates + c_i
         for k in corpus.pair_rows.get(key, ()):
             times = model.train_counts.item(k)
             if times:

@@ -26,8 +26,8 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 # The records are named tuples: immutable, and equal to plain tuples of their
-# fields. A correlate's id is its key in Corpus.correlates. A corpus stores no
-# Finding; its `findings` view builds them.
+# fields. A correlate's id is its position: the keys of Corpus.correlates are
+# 0..n-1. A corpus stores no Finding; its `findings` view builds them.
 class Correlate(NamedTuple):
     raw_text: str
     tokens: tuple[str, ...]
@@ -65,20 +65,20 @@ class _Findings(Sequence):
 class _PairIndex(Mapping):
     """Read-only (lo, hi)-keyed view of a corpus's int-keyed pair index."""
 
-    def __init__(self, pair_rows: dict[int, tuple[int, ...]], key_base: int):
-        self._rows, self._base = pair_rows, key_base
+    def __init__(self, pair_rows: dict[int, tuple[int, ...]], n_correlates: int):
+        self._rows, self._n = pair_rows, n_correlates
 
     def __getitem__(self, key) -> tuple[int, ...]:
         try:
             lo, hi = key
-            if 0 <= lo < hi < self._base:
-                return self._rows[lo * self._base + hi]
+            if 0 <= lo < hi < self._n:
+                return self._rows[lo * self._n + hi]
         except (TypeError, ValueError, KeyError):
             pass
         raise KeyError(key)
 
     def __iter__(self):
-        return (divmod(k, self._base) for k in self._rows)
+        return (divmod(k, self._n) for k in self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -87,15 +87,16 @@ class _PairIndex(Mapping):
 class Corpus:
     """Correlates, and findings kept as one array per field.
 
-    Finding i reports correlation r[i] between correlates a[i] and b[i]
-    (non-negative int64 ids; r float64), published in year[i] by paper
-    paper_ids[paper_code[i]]; paper_ids is in first-seen order. A pair of
-    correlates lo < hi has the int key lo * key_base + hi, key_base being one
-    more than the largest correlate id, and pair_rows maps each reported
-    pair's key to its finding indices in finding order. Its values are tuples
-    of ints, which the cyclic garbage collector stops tracking. `findings` and
-    `pair_index` are read-only views: Finding records, and pair_rows keyed by
-    (lo, hi).
+    A correlate's id is its position: the keys of `correlates` must be
+    0..n_correlates-1, and every finding's ids must lie in [0, n_correlates);
+    the constructor refuses anything else. Finding i reports correlation r[i]
+    between correlates a[i] and b[i] (int64 ids; r float64), published in
+    year[i] by paper paper_ids[paper_code[i]]; paper_ids is in first-seen
+    order. A pair of correlates lo < hi has the int key lo * n_correlates + hi,
+    and pair_rows maps each reported pair's key to its finding indices in
+    finding order. Its values are tuples of ints, which the cyclic garbage
+    collector stops tracking. `findings` and `pair_index` are read-only views:
+    Finding records, and pair_rows keyed by (lo, hi).
     """
 
     def __init__(self, correlates: dict[int, Correlate], a, b, r, year, paper_code,
@@ -105,12 +106,16 @@ class Corpus:
             np.array(col, dtype=np.int64) for col in (a, b, year, paper_code))
         self.r = np.array(r, dtype=np.float64)
         self.paper_ids = paper_ids
-        low = min(min(correlates, default=0), int(self.a.min(initial=0)),
-                  int(self.b.min(initial=0)))
-        if low < 0:
-            raise ValueError(f"negative correlate id {low}")
-        self.key_base = max(max(correlates, default=-1), int(self.a.max(initial=-1)),
-                            int(self.b.max(initial=-1))) + 1
+        n = self.n_correlates = len(correlates)
+        low, high = min(correlates, default=0), max(correlates, default=-1)
+        if low != 0 or high != n - 1:
+            raise ValueError(f"correlate id {low if low < 0 else high} is not a position: "
+                             f"the ids of {n} correlates must be 0..{n - 1}")
+        if (min(self.a.min(initial=0), self.b.min(initial=0)) < 0
+                or max(self.a.max(initial=-1), self.b.max(initial=-1)) >= n):
+            ab = np.column_stack((self.a, self.b))
+            i, j = np.argwhere((ab < 0) | (ab >= n))[0].tolist()
+            raise ValueError(f"finding {i} names correlate id {ab[i, j]}, outside [0, {n})")
         keys = self.pair_keys(self.a, self.b)
         # Each key gets a 1-tuple of its last finding, in first-report order;
         # only the keys reported more than once are then gathered again.
@@ -124,16 +129,16 @@ class Corpus:
             for k, idx in rows.items():
                 self.pair_rows[k] = tuple(idx)
         self.findings = _Findings(self.a, self.b, self.r, paper_ids, self.paper_code, self.year)
-        self.pair_index = _PairIndex(self.pair_rows, self.key_base)
+        self.pair_index = _PairIndex(self.pair_rows, n)
 
     def pair_key(self, a: int, b: int) -> int:
         """The key of the unordered pair {a, b} in pair_rows; both ids must lie
-        in [0, key_base)."""
-        return a * self.key_base + b if a < b else b * self.key_base + a
+        in [0, n_correlates)."""
+        return a * self.n_correlates + b if a < b else b * self.n_correlates + a
 
     def pair_keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """pair_key of every pair (a[i], b[i]) of two int64 arrays."""
-        return np.minimum(a, b) * self.key_base + np.maximum(a, b)
+        return np.minimum(a, b) * self.n_correlates + np.maximum(a, b)
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -142,10 +147,6 @@ class Corpus:
                 and all(np.array_equal(x, y) for x, y in zip(
                     (self.a, self.b, self.r, self.year, self.paper_code),
                     (other.a, other.b, other.r, other.year, other.paper_code))))
-
-    @property
-    def n_correlates(self) -> int:
-        return len(self.correlates)
 
     @property
     def n_findings(self) -> int:

@@ -95,10 +95,7 @@ def ensemble_estimate(ensemble: Ensemble, seq_a, seq_b,
 def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[tuple[int, int]]:
     """Distinct unordered correlate pairs absent from the corpus, uniformly
     at random given the seed."""
-    n = len(corpus.correlates)
-    # Draws index the sorted ids. Ids are distinct and non-negative, so
-    # key_base == n means they are 0..n-1 and a draw is its own id.
-    ids = None if corpus.key_base == n else np.array(sorted(corpus.correlates), dtype=np.int64)
+    n = corpus.n_correlates
     if n < 2:
         raise ValueError("need at least 2 correlates")
     available = n * (n - 1) // 2 - len(corpus.pair_rows)
@@ -112,7 +109,7 @@ def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[
         # A (k, 2) draw holds the values of k draws of 2, in order, and the
         # generator is local, so drawing more pairs than are kept changes nothing.
         draws = rng.integers(0, n, size=(max(64, 2 * (n_candidates - len(chosen))), 2))
-        for i, j in (draws if ids is None else ids[draws]).tolist():
+        for i, j in draws.tolist():
             if i == j:
                 continue
             pair = _pair_key(i, j)

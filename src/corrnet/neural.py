@@ -372,7 +372,7 @@ def save_checkpoint(model: ModelParams | Ensemble, path) -> None:
     if isinstance(model, Ensemble):
         first = model.members[0]
         arrays = {k: np.stack([p.weights[k] for p in model.members]) for k in first.weights}
-        arrays.update(__seeds=np.array(model.member_seeds), __bagging=np.array(model.bagging))
+        arrays.update(__seeds=np.array(model.member_seeds), __bagging=np.array(bool(model.bagging)))
     else:
         first, arrays = model, model.weights
     with open(path, "wb") as fh:
@@ -381,10 +381,11 @@ def save_checkpoint(model: ModelParams | Ensemble, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams | Ensemble:
-    """Load a save_checkpoint file, checking its format version, its
-    parameter names, that every weight is floating point, and every shape
-    against its stored dims and, for an ensemble, its member count. A file
-    that numpy cannot read as an archive of arrays fails with its path named."""
+    """Load a save_checkpoint file, checking its format version, that its
+    dims and seeds are integers and its bagging flag boolean, its parameter
+    names, that every weight is floating point, and every shape against its
+    stored dims and, for an ensemble, its member count. A file that numpy
+    cannot read as an archive of arrays fails with its path named."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             stored = {k: data[k] for k in data.files}
@@ -396,16 +397,17 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
     if version.tolist() != [1]:
         raise ValueError(f"{path}: unsupported checkpoint version {version.tolist()}")
     dims = stored.pop("__dims")
-    if dims.shape != (3,) or dims.min() < 1:
-        raise ValueError(f"{path}: malformed dims {dims.tolist()}")
-    d, h, m = (int(v) for v in dims)
+    if dims.shape != (3,) or dims.dtype.kind not in "iu" or dims.min() < 1:
+        raise ValueError(f"{path}: malformed __dims {dims.tolist()} of dtype {dims.dtype}, "
+                         "expected 3 positive integers")
+    d, h, m = dims.tolist()
     seeds = stored.pop("__seeds", None)
     if seeds is not None:
+        if seeds.ndim != 1 or len(seeds) < 2 or seeds.dtype.kind not in "iu":
+            raise ValueError(f"{path}: an ensemble needs __seeds of at least 2 integers")
         bagging = stored.pop("__bagging", None)
-        if (seeds.ndim != 1 or len(seeds) < 2 or seeds.dtype.kind not in "iu"
-                or bagging is None or bagging.shape != ()):
-            raise ValueError(f"{path}: an ensemble needs at least 2 integer seeds "
-                             "and a bagging flag")
+        if bagging is None or bagging.shape != () or bagging.dtype.kind != "b":
+            raise ValueError(f"{path}: an ensemble needs a boolean __bagging flag")
     lead = () if seeds is None else seeds.shape
     shapes = _shapes(d, h, m)  # computed, not allocated: the dims are untrusted
     if stored.keys() != shapes.keys():

@@ -37,19 +37,6 @@ def pearson(x, y) -> float:
     return float(dx @ dy) / (sx * sy)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def mann_whitney_u(a, b) -> MwuResult:
     """Two-sided Mann-Whitney U with midranks for ties.
 
@@ -63,12 +50,13 @@ def mann_whitney_u(a, b) -> MwuResult:
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    # A tie group of c values ending at sorted position e has midrank e - (c - 1) / 2.
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     r1 = float(ranks[:n1].sum())
     u = r1 - n1 * (n1 + 1) / 2.0
 
     n = n1 + n2
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(counts ** 3 - counts))
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1))) if n > 1 else 0.0
     if var <= 0.0:

@@ -11,8 +11,8 @@ from conftest import corpus_from_findings, random_corpus
 
 def make_corpus(rows):
     """rows: list of (a, b, r) over integer correlate ids."""
-    ids = sorted({c for a, b, _ in rows for c in (a, b)})
-    correlates = {i: Correlate(f"c{i}", (f"c{i}",)) for i in ids}
+    n = max(c for a, b, _ in rows for c in (a, b)) + 1
+    correlates = {i: Correlate(f"c{i}", (f"c{i}",)) for i in range(n)}
     findings = [Finding(a, b, r, "p1", 2010) for a, b, r in rows]
     return corpus_from_findings(correlates, findings)
 

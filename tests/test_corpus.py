@@ -219,13 +219,13 @@ def test_pair_index_view_reads_the_int_keyed_index():
         with pytest.raises(KeyError):
             view[absent]
     assert corpus.pair_rows == {0 * 4 + 2: (0, 2), 1 * 4 + 3: (1,)}
-    assert corpus.key_base == 4
+    assert corpus.n_correlates == 4
     a, b = np.array([2, 1, 0, 3, 1]), np.array([0, 3, 2, 1, 1])
     assert corpus.pair_keys(a, b).tolist() == [corpus.pair_key(x, y) for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize("correlate_ids, finding", [
-    ([-2, 0, 1], (0, 1)),  # key_base would equal the correlate count
+    ([-2, 0, 1], (0, 1)),
     ([0, 1, 2], (1, -3)),
     ([0, 1, 2], (-4, 2)),
 ])
@@ -233,8 +233,26 @@ def test_negative_correlate_id_is_refused(correlate_ids, finding):
     # Pair keys and the QBC sampler's direct draws assume ids >= 0.
     correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in correlate_ids}
     low = min(*correlate_ids, *finding)
-    with pytest.raises(ValueError, match=f"^negative correlate id {low}$"):
+    message = (f"correlate id {low} is not a position: the ids of 3 correlates must be 0..2"
+               if low in correlate_ids else
+               f"finding 0 names correlate id {low}, outside [0, 3)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         corpus_from_findings(correlates, [Finding(*finding, 0.1, "p", 2010)])
+
+
+@pytest.mark.parametrize("correlate_ids, finding, message", [
+    ([0, 1, 3], (0, 1), "correlate id 3 is not a position: the ids of 3 correlates must be 0..2"),
+    ([0, 1, 2], (2, 3), "finding 1 names correlate id 3, outside [0, 3)"),
+], ids=["gapped-keys", "finding-id-past-n"])
+def test_correlate_ids_that_are_not_positions_are_refused(correlate_ids, finding, message):
+    # A correlate's id is its position in corpus.correlates; pair keys, the
+    # QBC sampler's draws and the embedding lookups all rely on it.
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in correlate_ids}
+    findings = [Finding(0, 1, 0.2, "p", 2010), Finding(*finding, 0.1, "p", 2010)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        corpus_from_findings(correlates, findings)
+    raised_in = info.traceback[-1]
+    assert (raised_in.path.name, raised_in.name) == ("corpus.py", "__init__")
 
 
 def test_loaded_corpus_tracks_objects_per_correlate_not_per_finding(tmp_path):

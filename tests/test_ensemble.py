@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrnet import ensemble
-from corrnet.corpus import Corpus, generate_synthetic, split_corpus
+from corrnet.corpus import generate_synthetic, split_corpus
 from corrnet.embeddings import embed_sequence
 from corrnet.ensemble import (Ensemble, EnsembleEstimate, disagreement_trend,
                               ensemble_estimate, qbc_search,
@@ -30,14 +30,13 @@ def _fail_second_member(seed, *inputs):
 
 def reference_sample(corpus, n_candidates, seed):
     """sample_untested_pairs drawing one pair of ids per integers call."""
-    ids = sorted(corpus.correlates)
     rng = np.random.default_rng(seed)
     chosen, seen = [], set()
     while len(chosen) < n_candidates:
-        i, j = rng.integers(0, len(ids), size=2)
+        i, j = rng.integers(0, corpus.n_correlates, size=2).tolist()
         if i == j:
             continue
-        pair = (min(ids[i], ids[j]), max(ids[i], ids[j]))
+        pair = (min(i, j), max(i, j))
         key = corpus.pair_key(*pair)
         if key in seen or key in corpus.pair_rows:
             continue
@@ -250,34 +249,6 @@ class TestQbcSearch:
             for seed in range(12):
                 assert sample_untested_pairs(corpus, n_candidates, seed) == \
                     reference_sample(corpus, n_candidates, seed)
-
-    def test_bulk_draws_map_sparse_ids(self, synth_vocab):
-        # Correlate ids that are not 0..n-1: draws index the sorted ids.
-        corpus, _ = generate_synthetic(9, 12, synth_vocab, seed=3)
-        ids = [3, 7, 8, 20, 21, 40, 41, 42, 99]
-        sparse = Corpus({i: corpus.correlates[k] for k, i in enumerate(ids)},
-                        [ids[c] for c in corpus.a.tolist()], [ids[c] for c in corpus.b.tolist()],
-                        corpus.r, corpus.year, corpus.paper_code, corpus.paper_ids)
-        for seed in range(20):
-            got = sample_untested_pairs(sparse, 20, seed)
-            assert got == reference_sample(sparse, 20, seed)
-            assert {c for pair in got for c in pair} <= set(ids)
-
-    def test_contiguous_ids_equal_the_sorted_ids_path(self, synth_vocab):
-        # Ids 0..n-1 are drawn from directly; mapped in order onto gapped ids,
-        # which take the sorted-ids path, the same draws give the same pairs.
-        corpus, _ = generate_synthetic(200, 2000, synth_vocab, seed=8)
-        n = len(corpus.correlates)
-        assert corpus.key_base == n
-        ids = (3 * np.arange(n) + 5).tolist()
-        gapped = Corpus({ids[c]: corpus.correlates[c] for c in reversed(range(n))},
-                        [ids[c] for c in corpus.a.tolist()], [ids[c] for c in corpus.b.tolist()],
-                        corpus.r, corpus.year, corpus.paper_code, corpus.paper_ids)
-        assert gapped.key_base > n
-        for n_candidates, seed in [(1, 0), (100, 1), (1000, 2), (5000, 3)]:
-            got = sample_untested_pairs(corpus, n_candidates, seed)
-            assert [(ids[a], ids[b]) for a, b in got] == \
-                sample_untested_pairs(gapped, n_candidates, seed)
 
     def test_all_pairs_tested_errors(self, synth_vocab):
         corpus, _ = generate_synthetic(4, 6, synth_vocab, seed=0)  # complete graph

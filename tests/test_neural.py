@@ -816,6 +816,36 @@ def test_checkpoint_with_non_float_weights_names_file(tmp_path, ensemble, cast):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("dims", [[4.7, 3.2, 2.9], [4.0, 3.0, 2.0]],
+                         ids=["fractional", "whole-float"])
+def test_checkpoint_with_non_integer_dims_names_file(tmp_path, dims):
+    # The weights fit the truncated dims (4, 3, 2), so only the dtype shows the fault.
+    path = tmp_path / "model.npz"
+    save_checkpoint(init_params(4, 3, 2, seed=0), path)
+    with np.load(path) as data:
+        stored = dict(data)
+    stored["__dims"] = np.array(dims)
+    np.savez(path, **stored)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed __dims "):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("flag", [np.array("no"), np.array(0), np.array(1.0)],
+                         ids=["str", "int", "float"])
+def test_checkpoint_with_non_boolean_bagging_names_file(tmp_path, flag):
+    # bool() would read the string 'no' as True.
+    path = tmp_path / "model.npz"
+    save_checkpoint(Ensemble([init_params(4, 3, 2, seed=k) for k in range(2)], [0, 1], False),
+                    path)
+    with np.load(path) as data:
+        stored = dict(data)
+    stored["__bagging"] = flag
+    np.savez(path, **stored)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: an ensemble needs a "
+                                         "boolean __bagging flag$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("write, message", [
     (lambda path, raw: path.write_bytes(raw[:len(raw) // 2]), "File is not a zip file"),
     (lambda path, raw: path.write_bytes(b""), "No data left in file"),
