@@ -205,6 +205,15 @@ def cmd_selftest(args) -> int:
     ok &= grad_ok
     print("gradient_check\t%s\t(max rel err %.2e)" % ("PASS" if grad_ok else "FAIL", worst))
 
+    # predict and predict_pair agree bit for bit only if this host's BLAS
+    # gives a row the same bits in any group of a product call.
+    config = training.TrainConfig()
+    h, m = config.hidden_size, config.head_width
+    group_ok = all(neural.group_rows_bitwise(d, h, m) for d in (8, 300))
+    ok &= group_ok
+    print("group_rows_bitwise\t%s\t(h %d, m %d, d 8 and 300)" % ("PASS" if group_ok else "FAIL",
+                                                                 h, m))
+
     p_ok = abs(pearson([1, 2, 3, 4], [1, 3, 2, 4]) - 0.8) < 1e-12
     ok &= p_ok
     print("pearson_oracle\t%s" % ("PASS" if p_ok else "FAIL"))

@@ -89,14 +89,16 @@ class Corpus:
 
     A correlate's id is its position: the keys of `correlates` must be
     0..n_correlates-1, and every finding's ids must lie in [0, n_correlates);
-    the constructor refuses anything else. Finding i reports correlation r[i]
-    between correlates a[i] and b[i] (int64 ids; r float64), published in
-    year[i] by paper paper_ids[paper_code[i]]; paper_ids is in first-seen
-    order. A pair of correlates lo < hi has the int key lo * n_correlates + hi,
-    and pair_rows maps each reported pair's key to its finding indices in
-    finding order. Its values are tuples of ints, which the cyclic garbage
-    collector stops tracking. `findings` and `pair_index` are read-only views:
-    Finding records, and pair_rows keyed by (lo, hi).
+    the constructor refuses anything else, and also finding columns of unequal
+    length, a paper code outside paper_ids and a finding whose two ids are
+    equal. Finding i reports correlation r[i] between correlates a[i] and b[i]
+    (int64 ids; r float64), published in year[i] by paper
+    paper_ids[paper_code[i]]; paper_ids is in first-seen order. A pair of
+    correlates lo < hi has the int key lo * n_correlates + hi, and pair_rows
+    maps each reported pair's key to its finding indices in finding order.
+    Its values are tuples of ints, which the cyclic garbage collector stops
+    tracking. `findings` and `pair_index` are read-only views: Finding
+    records, and pair_rows keyed by (lo, hi).
     """
 
     def __init__(self, correlates: dict[int, Correlate], a, b, r, year, paper_code,
@@ -106,6 +108,16 @@ class Corpus:
             np.array(col, dtype=np.int64) for col in (a, b, year, paper_code))
         self.r = np.array(r, dtype=np.float64)
         self.paper_ids = paper_ids
+        columns = {"a": self.a, "b": self.b, "r": self.r, "year": self.year,
+                   "paper_code": self.paper_code}
+        if len({len(col) for col in columns.values()}) > 1:
+            raise ValueError("finding columns of unequal length: "
+                             + ", ".join(f"{k} {len(col)}" for k, col in columns.items()))
+        codes = self.paper_code
+        if codes.min(initial=0) < 0 or codes.max(initial=-1) >= len(paper_ids):
+            i = np.flatnonzero((codes < 0) | (codes >= len(paper_ids)))[0]
+            raise ValueError(f"finding {i} names paper code {codes[i]}, "
+                             f"outside [0, {len(paper_ids)})")
         n = self.n_correlates = len(correlates)
         low, high = min(correlates, default=0), max(correlates, default=-1)
         if low != 0 or high != n - 1:
@@ -116,6 +128,9 @@ class Corpus:
             ab = np.column_stack((self.a, self.b))
             i, j = np.argwhere((ab < 0) | (ab >= n))[0].tolist()
             raise ValueError(f"finding {i} names correlate id {ab[i, j]}, outside [0, {n})")
+        if (self_pairs := np.flatnonzero(self.a == self.b)).size:
+            i = self_pairs[0]
+            raise ValueError(f"finding {i} pairs correlate id {self.a[i]} with itself")
         keys = self.pair_keys(self.a, self.b)
         # Each key gets a 1-tuple of its last finding, in first-report order;
         # only the keys reported more than once are then gathered again.

@@ -135,68 +135,102 @@ class ForwardTrace:
 # textnorm's MAX_TOKENS = 32 and h = 64.
 _BLOCK = 256
 
+# Rows per BLAS call of every product of a row with a weight. Each such product
+# is one np.matmul over (g, _GROUP, K) groups, the last one zero-padded, with
+# the weight's transpose as a view: every call for a weight then has the same
+# shape, so a row gets the same bits at any position and beside any other rows,
+# while a call whose row count varied would change them.
+_GROUP = 4
+
+
+def _padded(n: int) -> int:
+    """n rounded up to whole groups."""
+    return -(-n // _GROUP) * _GROUP
+
 
 def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """m @ a[i] for every row i, one gemv per row: m.T is a view, so each row
-    makes the same BLAS call, with the same bits, as m @ a[i] alone."""
-    return np.matmul(a[:, None, :], m.T)[:, 0]
+    """m @ a[i] for every row i, shape (len(a), len(m)), in whole groups: each
+    row gets the bits it gets alone in a zero-padded group."""
+    n, k = a.shape
+    if n % _GROUP:
+        whole = np.zeros((_padded(n), k))
+        whole[:n] = a
+        a = whole
+    return np.matmul(a.reshape(-1, _GROUP, k), m.T).reshape(-1, len(m))[:n]
 
 
 def _project(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray) -> np.ndarray:
-    """Input projections w_in @ x[i] + b_in of every row of x, one gemv per
-    row, so a token's projection has the same bits whatever else is in x."""
+    """Input projections w_in @ x[i] + b_in of every row of x, so a token's
+    projection has the same bits whatever else is in x."""
     return _rows(x, w_in) + b_in
 
 
-def _encode_block(a, lengths, u_zr, u_c, hs=None, zrs=None, cs=None) -> np.ndarray | None:
+def _encode_block(a, lengths, u_zr, u_c, trace: bool = False):
     """Final states (B, h) of up to _BLOCK sequences sorted longest first, given
     their padded input projections a (L, B, 3h) and lengths (B,); the rows
-    still running at step t are a prefix, and each row's bits do not depend
-    on the other rows. Given zero trace arrays hs (L + 1, B, h), zrs
-    (L, B, 2h) and cs (L, B, h) instead, step t reads each running row's
-    state from hs[t] and computes its gates [z; r], candidate and new state
-    straight into zrs[t], cs[t] and hs[t + 1], and nothing is returned."""
+    still running at step t are a prefix. Each step's two products run over
+    the whole groups that hold the running rows, into whole-group scratch, and
+    each running row adds its own outputs, so its bits do not depend on the
+    other rows. With trace, returns the block's states hs (L + 1, B, h), gates
+    zrs (L, B, 2h) and candidates cs (L, B, h) instead, zero at every padded
+    step: step t reads each running row's state from hs[t] and adds its gates
+    [z; r], candidate and new state straight into zrs[t], cs[t] and hs[t + 1]."""
     n, k = len(u_c), len(lengths)
-    # Every operand is viewed (rows, 1, width), as matmul takes each row.
-    a = a[:, :, None]
-    a_zr, a_c, u_zr_t, u_c_t = a[..., :2 * n], a[..., 2 * n:], u_zr.T, u_c.T
-    if hs is None:  # one state per row, updated in place, and one step's scratch
-        h, zr_k, c_k, tmp_k = (np.zeros((k, 1, n)), np.empty((k, 1, 2 * n)),
-                               np.empty((k, 1, n)), np.empty((k, 1, n)))
-    else:
-        hs, zrs, cs = hs[:, :, None], zrs[:, :, None], cs[:, :, None]
+    size = _padded(k)
+    u_zr_t, u_c_t = u_zr.T, u_c.T
+    # A step's products, and r * h and then z * (c - h); a row past the
+    # running ones is read by the products and its outputs are never used.
+    p_zr, p_c, tmp = np.empty((size, 2 * n)), np.empty((size, n)), np.zeros((size, n))
+    # The states, in whole groups: every step (traced), or one state per row
+    # updated in place.
+    hs = np.zeros((len(a) + 1 if trace else 1, size, n))
+    if trace:
+        zrs, cs = np.zeros((len(a), k, 2 * n)), np.zeros((len(a), k, n))
+    hs_g, p_zr_g = hs.reshape(len(hs), -1, _GROUP, n), p_zr.reshape(-1, _GROUP, 2 * n)
+    p_c_g, tmp_g = p_c.reshape(-1, _GROUP, n), tmp.reshape(-1, _GROUP, n)
+    # Bound once: looking a ufunc up on np costs about a third of a step's
+    # small ufunc calls.
+    matmul, add, subtract, multiply, tanh = np.matmul, np.add, np.subtract, np.multiply, np.tanh
     for t in range(len(a)):
-        while lengths[k - 1] <= t:
-            k -= 1
-        if hs is None:
-            h_t, zr, c, tmp = h[:k], zr_k[:k], c_k[:k], tmp_k[:k]
-            h_next = h_t
-        else:
-            h_t, zr, c, tmp = hs[t, :k], zrs[t, :k], cs[t, :k], hs[t + 1, :k]
-            h_next = tmp
-        np.matmul(h_t, u_zr_t, out=zr)  # _rows(h_t, u_zr), in place
-        zr += a_zr[t, :k]
-        zr *= 0.5  # sigmoid(x) = 0.5 * (1 + tanh(0.5 * x))
-        np.tanh(zr, out=zr)
-        zr += 1.0
-        zr *= 0.5
-        z, r = zr[..., :n], zr[..., n:]
-        np.multiply(r, h_t, out=tmp)
-        np.matmul(tmp, u_c_t, out=c)
-        c += a_c[t, :k]
-        np.tanh(c, out=c)
-        np.subtract(c, h_t, out=tmp)
-        tmp *= z
-        np.add(h_t, tmp, out=h_next)  # h + z * (c - h)
-    return h[:, 0] if hs is None else None
+        if t == 0 or lengths[k - 1] <= t:  # the views that change with k
+            while lengths[k - 1] <= t:
+                k -= 1
+            if (g := -(-k // _GROUP)) < len(tmp_g):
+                hs_g, p_zr_g, p_c_g, tmp_g = hs_g[:, :g], p_zr_g[:g], p_c_g[:g], tmp_g[:g]
+            p_zr_k, p_c_k, tmp_k, hs_k = p_zr[:k], p_c[:k], tmp[:k], hs[:, :k]
+            a_zr, a_c = a[:, :k, :2 * n], a[:, :k, 2 * n:]
+            if trace:
+                zrs_k, cs_k = zrs[:, :k], cs[:, :k]
+                z_k, r_k, h_next = zrs_k[..., :n], zrs_k[..., n:], hs_k[t]
+            else:  # the gates and candidate go into the products' own rows
+                h_t = h_next = hs_k[0]
+                h_g, zr, c, z, r = hs_g[0], p_zr_k, p_c_k, p_zr_k[:, :n], p_zr_k[:, n:]
+        if trace:  # the state written by the last step is this one's
+            h_t, h_next, h_g = h_next, hs_k[t + 1], hs_g[t]
+            zr, c, z, r = zrs_k[t], cs_k[t], z_k[t], r_k[t]
+        matmul(h_g, u_zr_t, p_zr_g)
+        add(p_zr_k, a_zr[t], zr)
+        multiply(zr, 0.5, zr)  # sigmoid(x) = 0.5 * (1 + tanh(0.5 * x))
+        tanh(zr, zr)
+        add(zr, 1.0, zr)
+        multiply(zr, 0.5, zr)
+        multiply(r, h_t, tmp_k)
+        matmul(tmp_g, u_c_t, p_c_g)
+        add(p_c_k, a_c[t], c)
+        tanh(c, c)
+        subtract(c, h_t, tmp_k)
+        multiply(tmp_k, z, tmp_k)
+        add(h_t, tmp_k, h_next)  # h + z * (c - h)
+    b = len(lengths)
+    return (hs[:, :b], zrs, cs) if trace else hs[0, :b]
 
 
-def _inputs(seqs, d: int) -> list[np.ndarray]:
-    """Each sequence as an (L, d) float64 array. An empty sequence, a ragged
-    one, or one whose vectors are not d wide fails before any encoding."""
+def _check_inputs(seqs, d: int) -> None:
+    """Fail for the first empty sequence, or else the first ragged one or one
+    whose vectors are not d wide; the forward calls this before any encoding
+    once its own conversion of the vectors has failed."""
     if any(len(seq) == 0 for seq in seqs):
         raise ValueError("cannot encode an empty sequence")
-    xs = []
     for seq in seqs:
         try:
             x = np.asarray(seq, dtype=np.float64)
@@ -206,15 +240,13 @@ def _inputs(seqs, d: int) -> list[np.ndarray]:
             widths = "/".join(str(w) for w in sorted({np.size(v) for v in seq}))
             raise ValueError(f"cannot encode vectors of width {widths} "
                              f"with a model of input width d={d}")
-        xs.append(x)
-    return xs
 
 
 def _token_ids(seqs, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct token vectors of seqs, told apart by object identity, as
     the rows of a (U, d) float64 matrix; an (L, n) matrix whose column i is
     sequence i's token ids, padded with the id U; and the lengths. Input that
-    _inputs rejects fails with its error, before any encoding."""
+    _check_inputs rejects fails with its error, before any encoding."""
     row: dict[int, int] = {}
     distinct, ids = [], []  # distinct keeps each keyed vector alive: no id() is reused
     for seq in seqs:
@@ -233,7 +265,7 @@ def _token_ids(seqs, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = None
     if x is None or x.shape[1:] != (d,) or not lengths.all():
         # Raises for the first bad sequence, or else for distinct itself.
-        _inputs([*seqs, distinct], d)
+        _check_inputs([*seqs, distinct], d)
     width = lengths.max(initial=0)
     padded = np.array([r + [len(x)] * (width - len(r)) for r in ids], dtype=np.intp)
     return x, padded.reshape(len(ids), width).T, lengths
@@ -264,22 +296,26 @@ def _score(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray,
 
 def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     """Forward pass for a pair of embedded sequences, with the trace backward
-    needs; the prediction is r_hat. Both sequences run as one 2-row block of
-    predict's encoder and are scored by its head, so r_hat equals predict's
-    value bit for bit, and both orders give bit-identical output."""
-    w = params.weights
-    xs = _inputs([seq_a, seq_b], params.d)
+    needs; the prediction is r_hat. Both sequences are projected in one call
+    and run as one 2-row block of predict's encoder, and are scored by its
+    head, so r_hat equals predict's value bit for bit, and both orders give
+    bit-identical output."""
+    w, d, n = params.weights, params.d, params.h
+    len_a, len_b = len(seq_a), len(seq_b)
+    try:
+        xy = np.asarray([*seq_a, *seq_b], dtype=np.float64)
+    except ValueError:
+        xy = None
+    if xy is None or xy.shape[1:] != (d,) or not (len_a and len_b):
+        _check_inputs([seq_a, seq_b], d)
     # The block rows of a and b, longest first; a swap is its own inverse.
-    rows = (1, 0) if len(xs[1]) > len(xs[0]) else (0, 1)
-    n, length = params.h, max(map(len, xs))
-    x, hs = np.zeros((length, 2, params.d)), np.zeros((length + 1, 2, n))
-    zrs, cs = np.zeros((length, 2, 2 * n)), np.zeros((length, 2, n))
-    a = np.empty((length, 2, 3 * n))  # a padded step's projection is never read
-    for seq_x, i in zip(xs, rows):
-        x[:len(seq_x), i] = seq_x
-        a[:len(seq_x), i] = _project(seq_x, params.w_in, params.b_in)
-    _encode_block(a, [len(xs[i]) for i in rows], params.u_zr, w["u_c"], hs, zrs, cs)
-    len_a, len_b = map(len, xs)
+    rows = (1, 0) if len_b > len_a else (0, 1)
+    length = max(len_a, len_b)
+    x = np.zeros((length, 2, d))
+    x[:len_a, rows[0]], x[:len_b, rows[1]] = xy[:len_a], xy[len_a:]
+    # A padded step's projection, b_in, is never read.
+    a = _project(x.reshape(2 * length, d), params.w_in, params.b_in).reshape(length, 2, 3 * n)
+    hs, zrs, cs = _encode_block(a, [length, min(len_a, len_b)], params.u_zr, w["u_c"], trace=True)
     e_a, e_b = hs[len_a, rows[0]], hs[len_b, rows[1]]
     combined, u1, r_hat = _score(e_a[None], e_b[None], w)
     return ForwardTrace(x[:len_a, rows[0]], x[:len_b, rows[1]], e_a, e_b, combined[0], u1[0],
@@ -292,9 +328,9 @@ def predict(models, seqs, pairs) -> np.ndarray:
     pairs is a list of (a, b) pairs or an (n, 2) int array. Each correlate
     named in pairs is encoded once per model from seqs[c], and each distinct
     token vector (by identity) of those correlates is projected once per
-    model; each pair is scored by predict_pair's head, row by row, so values
-    equal its r_hat bit for bit, in either order and whatever else is in the
-    call."""
+    model; each pair is scored by predict_pair's head, and every product runs
+    in whole groups, so values equal its r_hat bit for bit, in either order
+    and whatever else is in the call."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
     cids, inverse = np.unique(pairs, return_inverse=True)
     ia, ib = inverse.reshape(pairs.shape).T
@@ -360,7 +396,7 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
                                            params.u_zr, w["u_c"])
     return {"w_z": d_in[:h], "u_z": d_zr[:h], "w_r": d_in[h:2 * h], "u_r": d_zr[h:],
             "w_c": d_in[2 * h:], "u_c": d_uc,
-            "head_w1": np.outer(da1, trace.combined), "head_w2": (da2 * trace.u1)[None],
+            "head_w1": da1[:, None] * trace.combined, "head_w2": (da2 * trace.u1)[None],
             "b_z": db[:h], "b_r": db[h:2 * h], "b_c": db[2 * h:],
             "head_b1": da1, "head_b2": np.array([da2])}
 
@@ -449,3 +485,21 @@ def gradcheck(params: ModelParams, seq_a, seq_b) -> float:
             grad = analytic[name][idx]
             worst = max(worst, abs(num - grad) / max(abs(num), abs(grad), 1e-6))
     return worst
+
+
+def group_rows_bitwise(d: int, h: int, m: int) -> bool:
+    """Whether this host's BLAS keeps the fact the forward rests on for a
+    (d, h, m) model: each row of every product the model makes, in a call of
+    three groups beside random rows, has the bits it has alone in a padded
+    group; and predict equals predict_pair on a few random pairs."""
+    rng = np.random.default_rng(0)
+    for k, n in ((d, 3 * h), (h, 2 * h), (h, h), (2 * h, m), (m, 1)):
+        w, x = rng.standard_normal((n, k)), rng.standard_normal((3 * _GROUP - 1, k))
+        rows = _rows(x, w)
+        if any(rows[i].tobytes() != _rows(x[i:i + 1], w).tobytes() for i in range(len(x))):
+            return False
+    params = init_params(d, h, m)
+    seqs = [list(rng.standard_normal((int(rng.integers(1, 9)), d))) for _ in range(6)]
+    pairs = [(0, 1), (2, 3), (4, 5), (5, 0), (1, 0)]
+    got = predict([params], seqs, pairs)[:, 0]
+    return all(v == predict_pair(seqs[a], seqs[b], params).r_hat for v, (a, b) in zip(got, pairs))

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from corrnet import neural
 from corrnet.cli import main
 from corrnet.neural import init_params, save_checkpoint
 
@@ -189,6 +190,15 @@ def test_config_file_invalid_utf8_names_the_line(workdir, capsys):
 def test_selftest(capsys):
     rc, out, _ = run(capsys, ["selftest"])
     assert rc == 0
+    assert "gradient_check\tPASS" in out
+    assert "group_rows_bitwise\tPASS\t(h 64, m 32, d 8 and 300)\n" in out
+
+
+def test_selftest_fails_when_grouped_rows_change_bits(capsys, monkeypatch):
+    monkeypatch.setattr(neural, "group_rows_bitwise", lambda d, h, m: d != 300)
+    rc, out, _ = run(capsys, ["selftest"])
+    assert rc == 1
+    assert "group_rows_bitwise\tFAIL\t(h 64, m 32, d 8 and 300)\n" in out
     assert "gradient_check\tPASS" in out
 
 

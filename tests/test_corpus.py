@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_byte_edits, byte_edits, corpus_from_findings
 from corrnet import corpus as corpus_mod
-from corrnet.corpus import (Correlate, CorpusError, Finding, corpus_stats,
+from corrnet.corpus import (Correlate, Corpus, CorpusError, Finding, corpus_stats,
                             generate_synthetic, load_corpus, save_corpus, split_corpus,
                             untested_fraction)
 from corrnet.embeddings import random_table
@@ -253,6 +253,43 @@ def test_correlate_ids_that_are_not_positions_are_refused(correlate_ids, finding
         corpus_from_findings(correlates, findings)
     raised_in = info.traceback[-1]
     assert (raised_in.path.name, raised_in.name) == ("corpus.py", "__init__")
+
+
+def columns_corpus(**columns):
+    """A three-correlate, one-paper corpus of two findings, with the given
+    columns in place of the defaults."""
+    correlates = {i: Correlate(f"v{i}", (f"v{i}",)) for i in range(3)}
+    cols = dict(a=[0, 1], b=[1, 2], r=[0.1, 0.2], year=[2010, 2011], paper_code=[0, 0],
+                paper_ids=["p"])
+    cols.update(columns)
+    return Corpus(correlates, **cols)
+
+
+@pytest.mark.parametrize("columns, message", [
+    (dict(r=[0.1, 0.2, 0.3]),
+     "finding columns of unequal length: a 2, b 2, r 3, year 2, paper_code 2"),
+    (dict(b=[1, 2, 0]), "finding columns of unequal length: a 2, b 3, r 2, year 2, paper_code 2"),
+    (dict(year=[2010]), "finding columns of unequal length: a 2, b 2, r 2, year 1, paper_code 2"),
+], ids=["long-r", "long-b", "short-year"])
+def test_columns_of_unequal_length_are_refused(columns, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        columns_corpus(**columns)
+
+
+@pytest.mark.parametrize("paper_code, message", [
+    ([0, 5], "finding 1 names paper code 5, outside [0, 1)"),
+    ([-1, 0], "finding 0 names paper code -1, outside [0, 1)"),
+], ids=["past-paper-ids", "negative"])
+def test_paper_code_outside_paper_ids_is_refused(paper_code, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        columns_corpus(paper_code=paper_code)
+
+
+def test_self_pair_is_refused():
+    # load_corpus refuses such a line; corpus_stats would count the pair
+    # (1, 1) as tested, and report 1 untested pair of 3 instead of 2.
+    with pytest.raises(ValueError, match=r"^finding 1 pairs correlate id 1 with itself$"):
+        columns_corpus(b=[1, 1])
 
 
 def test_loaded_corpus_tracks_objects_per_correlate_not_per_finding(tmp_path):

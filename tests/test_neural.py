@@ -211,33 +211,114 @@ class TestEncode:
             predict_pair([], [], init_params(2, 2, 2))
 
 
+def product(w, v):
+    """w @ v as neural computes every product of a row with a weight: v alone
+    in a zero-padded group of neural._GROUP rows, times a view of w's
+    transpose. (On OpenBLAS a contiguous copy of the transpose gives other
+    bits, as does a call of another row count.)"""
+    group = np.zeros((1, neural._GROUP, len(v)))
+    group[0, 0] = v
+    return np.matmul(group, w.T)[0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 300), n=st.integers(1, 300), groups=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+# Every product of the model at h 64 and m 32: the input projection for d 8
+# and d 300, the two recurrent products and the two head layers; then a wide
+# output, and one-column outputs.
+@example(k=8, n=192, groups=3, seed=0)
+@example(k=300, n=192, groups=3, seed=1)
+@example(k=64, n=128, groups=3, seed=2)
+@example(k=64, n=64, groups=3, seed=3)
+@example(k=128, n=32, groups=3, seed=4)
+@example(k=32, n=1, groups=3, seed=5)
+@example(k=64, n=300, groups=3, seed=6)
+@example(k=300, n=1, groups=3, seed=7)
+@example(k=1, n=1, groups=3, seed=8)
+def test_a_rows_product_bits_do_not_depend_on_its_group(k, n, groups, seed):
+    # The BLAS fact the forward rests on: when every call for a weight takes
+    # its rows as (g, _GROUP, K) groups, a row gets the bits it gets alone in
+    # a zero-padded group, at every position and beside any other rows. If
+    # this fails on some host, predict and predict_pair can disagree there.
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, k))
+    rows = rng.standard_normal((groups, neural._GROUP, k))
+    got = np.matmul(rows, w.T)
+    for g in range(groups):
+        for i in range(neural._GROUP):
+            assert got[g, i].tobytes() == product(w, rows[g, i]).tobytes(), (g, i)
+    # _rows pads any number of rows to whole groups, and takes none.
+    assert neural._rows(np.empty((0, k)), w).shape == (0, n)
+    x = rows.reshape(-1, k)[:int(rng.integers(1, groups * neural._GROUP + 1))]
+    got = neural._rows(x, w)
+    assert got.shape == (len(x), n)
+    for i, row in enumerate(x):
+        assert got[i].tobytes() == product(w, row).tobytes(), i
+
+
+def test_every_forward_product_takes_whole_groups(monkeypatch):
+    # Each np.matmul that predict, predict_pair, _score and _project make
+    # gets its rows as (g, _GROUP, K) groups: one call shape per weight.
+    shapes = {}
+
+    class Spy:
+        caller = None
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, *args, **kwargs):
+            shapes.setdefault(self.caller, []).append(np.shape(a))
+            return np.matmul(a, *args, **kwargs)
+
+    spy = Spy()
+    monkeypatch.setattr(neural, "np", spy)
+    rng = np.random.default_rng(12)
+    models = [perturbed_params(5, 6, 3, seed=k) for k in range(2)]
+    seqs = [random_seq(rng, 5, int(k)) for k in rng.integers(1, 9, size=11)]
+    pairs = [(i, (3 * i + 1) % 11) for i in range(11)]
+    e = rng.standard_normal((2, 7, 6))
+    for caller, run in [
+            ("predict_pair", lambda: predict_pair(seqs[0], seqs[1], models[0])),
+            ("predict", lambda: predict(models, seqs, pairs)),
+            ("_score", lambda: neural._score(e[0], e[1], models[0].weights)),
+            ("_project", lambda: neural._project(rng.standard_normal((5, 5)), models[0].w_in,
+                                                 models[0].b_in))]:
+        spy.caller = caller
+        run()
+    assert shapes.keys() == {"predict_pair", "predict", "_score", "_project"}
+    for caller, seen in shapes.items():
+        assert all(len(s) == 3 and s[-2] == neural._GROUP for s in seen), (caller, seen)
+
+
 def reference_gru(seq, w):
-    """One sequence's GRU pass, step by step: matrix-vector products with the
-    stacked input kernel, one per step, and with the stacked recurrent kernels."""
+    """One sequence's GRU pass, step by step: products with the stacked input
+    kernel, one per step, and with the stacked recurrent kernels."""
     x = np.asarray(seq, dtype=np.float64)
     n = len(w["b_z"])
     w_in, b_in = (np.concatenate([w["w_z"], w["w_r"], w["w_c"]]),
                   np.concatenate([w["b_z"], w["b_r"], w["b_c"]]))
-    a = np.array([w_in @ x_t + b_in for x_t in x])
+    a = np.array([product(w_in, x_t) + b_in for x_t in x])
     a_zr, a_c = a[:, :2 * n], a[:, 2 * n:]
     u_zr, u_c = np.concatenate([w["u_z"], w["u_r"]]), w["u_c"]
     h, zr, c = np.zeros((len(x) + 1, n)), np.empty((len(x), 2 * n)), np.empty((len(x), n))
     for t in range(len(x)):
         h_t, zr_t, c_t = h[t], zr[t], c[t]
-        zr_t[:] = 0.5 * (1.0 + np.tanh(0.5 * (a_zr[t] + u_zr @ h_t)))
-        np.tanh(a_c[t] + u_c @ (zr_t[n:] * h_t), out=c_t)
+        zr_t[:] = 0.5 * (1.0 + np.tanh(0.5 * (a_zr[t] + product(u_zr, h_t))))
+        np.tanh(a_c[t] + product(u_c, zr_t[n:] * h_t), out=c_t)
         h[t + 1] = h_t + zr_t[:n] * (c_t - h_t)
     return x, h, zr, c
 
 
 def reference_pair(seq_a, seq_b, w):
     """Each sequence's reference_gru pass, then the head on the final states
-    with one matrix-vector product per layer."""
+    with one product per layer."""
     steps_a, steps_b = reference_gru(seq_a, w), reference_gru(seq_b, w)
     e_a, e_b = steps_a[1][-1], steps_b[1][-1]
     combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)])
-    u1 = np.tanh(w["head_w1"] @ combined + w["head_b1"])
-    r_hat = float(np.tanh(w["head_w2"] @ u1 + w["head_b2"])[0])
+    u1 = np.tanh(product(w["head_w1"], combined) + w["head_b1"])
+    r_hat = float(np.tanh(product(w["head_w2"], u1) + w["head_b2"])[0])
     return steps_a, steps_b, e_a, e_b, combined, u1, r_hat
 
 
@@ -269,8 +350,8 @@ def reference_traced_block(a, lengths, w):
     for i, length in enumerate(lengths):
         for t in range(length):
             h_t, a_t = hs[t, i], a[t, i]
-            zr = 0.5 * (1.0 + np.tanh(0.5 * (a_t[:2 * n] + u_zr @ h_t)))
-            c = np.tanh(a_t[2 * n:] + u_c @ (zr[n:] * h_t))
+            zr = 0.5 * (1.0 + np.tanh(0.5 * (a_t[:2 * n] + product(u_zr, h_t))))
+            c = np.tanh(a_t[2 * n:] + product(u_c, zr[n:] * h_t))
             zrs[t, i], cs[t, i], hs[t + 1, i] = zr, c, h_t + zr[:n] * (c - h_t)
     return hs, zrs, cs
 
@@ -290,11 +371,9 @@ def test_traced_block_equals_per_step_reference_bitwise(seed, d, h, len_a, len_b
     a = np.full((lengths[0], 2, 3 * h), np.nan)
     for i, length in enumerate(lengths):
         a[:length, i] = neural._project(rng.standard_normal((length, d)), p.w_in, p.b_in)
-    hs, zrs, cs = (np.zeros((lengths[0] + 1, 2, h)), np.zeros((lengths[0], 2, 2 * h)),
-                   np.zeros((lengths[0], 2, h)))
-    assert neural._encode_block(a, lengths, p.u_zr, p.weights["u_c"], hs, zrs, cs) is None
+    hs, zrs, cs = neural._encode_block(a, lengths, p.u_zr, p.weights["u_c"], trace=True)
     for got, want in zip((hs, zrs, cs), reference_traced_block(a, lengths, p.weights)):
-        assert got.tobytes() == want.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # The untraced block runs the same steps into its own state.
     final = neural._encode_block(a, lengths, p.u_zr, p.weights["u_c"])
     for i, length in enumerate(lengths):
