@@ -50,12 +50,17 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     Findings that contain both correlates (i.e. report this very pair) are
     counted once. Pairs with no training coverage fall back to the global
     training mean. The "average" mode instead averages the two correlates'
-    individual means.
+    individual means. A correlate id outside [0, n_correlates) is refused.
     """
     seen_i = model.per_correlate.get(c_i)
     seen_j = model.per_correlate.get(c_j)
-    if seen_i is None and seen_j is None:
-        return model.global_mean
+    if seen_i is None or seen_j is None:  # an id outside the corpus lands here
+        n = model.corpus.n_correlates
+        for c in (c_i, c_j):
+            if not 0 <= c < n:
+                raise ValueError(f"correlate id {c} outside [0, {n})")
+        if seen_i is None and seen_j is None:
+            return model.global_mean
     if model.mode == "average":
         means = [s / c for entry in (seen_i, seen_j) if entry is not None
                  for s, c in [entry]]
@@ -65,7 +70,7 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     s_ij, c_ij = 0.0, 0
     if seen_i is not None and seen_j is not None:  # both ids are then in the corpus
         corpus = model.corpus
-        # corpus.pair_key, inlined: this runs once per predicted pair.
+        # corpus.pair_keys for one pair, inlined: this runs once per predicted pair.
         key = c_i * corpus.n_correlates + c_j if c_i < c_j else c_j * corpus.n_correlates + c_i
         for k in corpus.pair_rows.get(key, ()):
             times = model.train_counts.item(k)

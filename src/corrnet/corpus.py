@@ -41,10 +41,6 @@ class Finding(NamedTuple):
     year: int
 
 
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 class _Findings(Sequence):
     """Read-only view of a corpus's findings. Each access, iteration included,
     builds the Finding from the columns, with Python scalars; nothing per
@@ -146,13 +142,9 @@ class Corpus:
         self.findings = _Findings(self.a, self.b, self.r, paper_ids, self.paper_code, self.year)
         self.pair_index = _PairIndex(self.pair_rows, n)
 
-    def pair_key(self, a: int, b: int) -> int:
-        """The key of the unordered pair {a, b} in pair_rows; both ids must lie
-        in [0, n_correlates)."""
-        return a * self.n_correlates + b if a < b else b * self.n_correlates + a
-
     def pair_keys(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """pair_key of every pair (a[i], b[i]) of two int64 arrays."""
+        """The pair_rows key of each unordered pair {a[i], b[i]} of two int64
+        arrays; every id must lie in [0, n_correlates)."""
         return np.minimum(a, b) * self.n_correlates + np.maximum(a, b)
 
     def __eq__(self, other):
@@ -347,9 +339,9 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
     # Distinct unordered pairs, sampled without replacement.
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < n_findings:
-        a, b = rng.integers(0, n_correlates, size=2)
+        a, b = rng.integers(0, n_correlates, size=2).tolist()
         if a != b:
-            chosen.add(_pair_key(int(a), int(b)))
+            chosen.add((min(a, b), max(a, b)))
     pairs = sorted(chosen)
     rng.shuffle(pairs)
 

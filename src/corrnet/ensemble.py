@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, Split, _pair_key
+from .corpus import Corpus, Split
 from .embeddings import EmbeddingTable
 from .neural import Ensemble, predict
 from .stats import MwuResult, mann_whitney_u, pearson, quartiles
@@ -95,6 +95,8 @@ def ensemble_estimate(ensemble: Ensemble, seq_a, seq_b,
 def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[tuple[int, int]]:
     """Distinct unordered correlate pairs absent from the corpus, uniformly
     at random given the seed."""
+    if n_candidates < 0:
+        raise ValueError(f"n_candidates must be >= 0, got {n_candidates}")
     n = corpus.n_correlates
     if n < 2:
         raise ValueError("need at least 2 correlates")
@@ -103,24 +105,18 @@ def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[
         raise ValueError(
             f"only {available} untested pairs available, {n_candidates} requested")
     rng = np.random.default_rng(seed)
-    chosen: list[tuple[int, int]] = []
-    seen: set[int] = set()  # pair keys
-    while len(chosen) < n_candidates:
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < n_candidates:
         # A (k, 2) draw holds the values of k draws of 2, in order, and the
         # generator is local, so drawing more pairs than are kept changes nothing.
-        draws = rng.integers(0, n, size=(max(64, 2 * (n_candidates - len(chosen))), 2))
-        for i, j in draws.tolist():
-            if i == j:
-                continue
-            pair = _pair_key(i, j)
-            key = corpus.pair_key(*pair)
-            if key in seen or key in corpus.pair_rows:
-                continue
-            seen.add(key)
-            chosen.append(pair)
-            if len(chosen) == n_candidates:
-                break
-    return chosen
+        draws = rng.integers(0, n, size=(max(64, 2 * (n_candidates - len(keys))), 2))
+        draws = draws[draws[:, 0] != draws[:, 1]]
+        drawn = corpus.pair_keys(draws[:, 0], draws[:, 1])
+        untested = np.fromiter((k not in corpus.pair_rows for k in drawn.tolist()),
+                               dtype=bool, count=len(drawn))
+        keys = np.concatenate((keys, drawn[untested]))
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]  # first draws, in order
+    return [divmod(k, n) for k in keys[:n_candidates].tolist()]
 
 
 def qbc_search(ensemble: Ensemble, corpus: Corpus, table: EmbeddingTable,

@@ -190,8 +190,8 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
 
 def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable) -> dict:
     """Predict each listed finding and correlate predictions with reports."""
-    if len(indices) == 0:  # not "not indices": a numpy array has no truth value
-        raise ValueError("no finding indices to evaluate")
+    if len(indices) < 2:  # pearson needs two of each
+        raise ValueError(f"evaluate needs at least 2 finding indices, got {len(indices)}")
     corpus.check_indices(indices, "evaluated")
     pairs = _finding_pairs(corpus, indices)
     r_hats = predict([params], embed_pairs(corpus, pairs, table), pairs)[:, 0].tolist()

@@ -32,10 +32,10 @@ def test_fit_accumulates():
 
 
 def test_single_finding_means():
-    corpus = make_corpus([(0, 1, 0.5)])
+    corpus = make_corpus([(0, 1, 0.5), (2, 3, 0.9)])
     model = fit_baseline(corpus, [0])
-    assert baseline_predict(model, 0, 5) == pytest.approx(0.5)
-    assert baseline_predict(model, 1, 5) == pytest.approx(0.5)
+    assert baseline_predict(model, 0, 2) == pytest.approx(0.5)
+    assert baseline_predict(model, 1, 3) == pytest.approx(0.5)
 
 
 def test_unseen_correlate_absent():
@@ -53,9 +53,20 @@ def test_union_example():
 
 
 def test_unseen_pair_falls_back_to_global_mean():
-    corpus = make_corpus([(0, 1, 0.2), (2, 3, 0.8)])
+    corpus = make_corpus([(0, 1, 0.2), (2, 3, 0.8), (4, 5, 0.5)])
     model = fit_baseline(corpus, [0, 1])
-    assert baseline_predict(model, 7, 8) == pytest.approx(model.global_mean)
+    assert baseline_predict(model, 4, 5) == pytest.approx(model.global_mean)
+
+
+@pytest.mark.parametrize("mode", ["pool", "average"])
+@pytest.mark.parametrize("c_i, c_j, bad", [(0, 10**6, 10**6), (-1, 3, -1), (2, 4, 4)])
+def test_correlate_id_outside_corpus_is_refused(mode, c_i, c_j, bad):
+    # Unchecked, an unknown id reads as a correlate without training findings.
+    corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4), (1, 3, 0.6)])
+    model = fit_baseline(corpus, [0, 1], mode=mode)
+    for pair in [(c_i, c_j), (c_j, c_i)]:
+        with pytest.raises(ValueError, match=f"^correlate id {bad} outside \\[0, 4\\)$"):
+            baseline_predict(model, *pair)
 
 
 def test_symmetry():
@@ -142,13 +153,12 @@ def reference_predict(reference, mode, c_i, c_j):
     return (s_i + s_j - s_ij) / (n_i + n_j - n_ij)
 
 
-def assert_matches_reference(corpus, train, n_correlates, exact):
+def assert_matches_reference(corpus, train, exact):
     reference = reference_fit(corpus, train)
     for mode in ("pool", "average"):
         model = fit_baseline(corpus, train, mode=mode)
-        # One id past the corpus's correlates has no training coverage.
-        for i in range(n_correlates + 1):
-            for j in range(n_correlates + 1):
+        for i in range(corpus.n_correlates):
+            for j in range(corpus.n_correlates):
                 if i == j:
                     continue
                 got, want = baseline_predict(model, i, j), reference_predict(reference, mode, i, j)
@@ -174,20 +184,20 @@ reported_rows = st.integers(2, 6).flatmap(lambda n_c: st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(data=reported_rows, pick=st.data())
 def test_matches_reference_loop(data, pick):
-    n_c, rows = data
+    _, rows = data
     corpus = make_corpus(rows)
     indices = st.integers(0, len(rows) - 1)
     # A split_corpus-style train set: sorted and unique, so sums match exactly.
     train = sorted(pick.draw(st.sets(indices, min_size=1)))
-    assert_matches_reference(corpus, train, n_c, exact=True)
+    assert_matches_reference(corpus, train, exact=True)
     # Any other index list: every occurrence counts, in any order.
     train = pick.draw(st.lists(indices, min_size=1, max_size=40))
-    assert_matches_reference(corpus, train, n_c, exact=False)
+    assert_matches_reference(corpus, train, exact=False)
 
 
 def test_split_corpus_indices_match_reference_exactly():
     corpus = random_corpus(np.random.default_rng(4), n_correlates=12, n_findings=400)
-    assert_matches_reference(corpus, split_corpus(corpus, 0.8, seed=1).train_indices, 12,
+    assert_matches_reference(corpus, split_corpus(corpus, 0.8, seed=1).train_indices,
                              exact=True)
 
 
@@ -198,7 +208,7 @@ def test_repeated_index_counts_every_occurrence():
     assert model.global_mean == pytest.approx(0.8 / 3)
     # Findings with 0 or 1: 0.2 twice and 0.4 once; the pair's own reports count once each.
     assert baseline_predict(model, 0, 1) == pytest.approx(0.8 / 3)
-    assert_matches_reference(corpus, [2, 0, 0, 1, 2, 2], 3, exact=False)
+    assert_matches_reference(corpus, [2, 0, 0, 1, 2, 2], exact=False)
 
 
 def test_unsorted_indices():
@@ -206,7 +216,7 @@ def test_unsorted_indices():
     corpus = random_corpus(rng, n_correlates=6, n_findings=30)
     train = [int(i) for i in rng.permutation(30)[:20]]
     assert train != sorted(train)
-    assert_matches_reference(corpus, train, 6, exact=False)
+    assert_matches_reference(corpus, train, exact=False)
 
 
 @pytest.mark.parametrize("bad", [2, -1])

@@ -221,7 +221,7 @@ def test_pair_index_view_reads_the_int_keyed_index():
     assert corpus.pair_rows == {0 * 4 + 2: (0, 2), 1 * 4 + 3: (1,)}
     assert corpus.n_correlates == 4
     a, b = np.array([2, 1, 0, 3, 1]), np.array([0, 3, 2, 1, 1])
-    assert corpus.pair_keys(a, b).tolist() == [corpus.pair_key(x, y) for x, y in zip(a, b)]
+    assert corpus.pair_keys(a, b).tolist() == [min(x, y) * 4 + max(x, y) for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize("correlate_ids, finding", [

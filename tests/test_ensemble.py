@@ -37,7 +37,7 @@ def reference_sample(corpus, n_candidates, seed):
         if i == j:
             continue
         pair = (min(i, j), max(i, j))
-        key = corpus.pair_key(*pair)
+        key = pair[0] * corpus.n_correlates + pair[1]
         if key in seen or key in corpus.pair_rows:
             continue
         seen.add(key)
@@ -242,18 +242,29 @@ class TestQbcSearch:
         n = len(corpus.correlates)
         available = n * (n - 1) // 2 - len(corpus.pair_rows)
         # Near-exhaustive requests on the small corpora, where they are cheap.
-        requests = ({1, 100, 1000} if n > 30 else
-                    {1, min(available, 25), available // 2, available - 1, available} - {0})
-        assert requests and max(requests) <= available
+        requests = ({0, 1, 100, 1000} if n > 30 else
+                    {0, 1, min(available, 25), available // 2, available - 1, available})
+        assert max(requests) <= available
         for n_candidates in sorted(requests):
             for seed in range(12):
-                assert sample_untested_pairs(corpus, n_candidates, seed) == \
-                    reference_sample(corpus, n_candidates, seed)
+                pairs = sample_untested_pairs(corpus, n_candidates, seed)
+                assert pairs == reference_sample(corpus, n_candidates, seed)
+                assert all(type(c) is int for pair in pairs for c in pair)
 
     def test_all_pairs_tested_errors(self, synth_vocab):
         corpus, _ = generate_synthetic(4, 6, synth_vocab, seed=0)  # complete graph
         with pytest.raises(ValueError, match="0 untested"):
             sample_untested_pairs(corpus, 1, seed=0)
+        assert sample_untested_pairs(corpus, 0, seed=0) == []
+
+    def test_negative_request_is_refused(self, small_setup, synth_vocab):
+        # Unchecked, -5 candidates read as none.
+        corpus, split = small_setup
+        ens = train_ensemble(corpus, split, synth_vocab, FAST, 2)
+        with pytest.raises(ValueError, match="^n_candidates must be >= 0, got -5$"):
+            sample_untested_pairs(corpus, -5, seed=0)
+        with pytest.raises(ValueError, match="^n_candidates must be >= 0, got -5$"):
+            qbc_search(ens, corpus, synth_vocab, -5, seed=0)
 
     def test_bad_top_fraction(self, small_setup, synth_vocab):
         corpus, split = small_setup

@@ -218,8 +218,17 @@ class TestEvaluate:
     def test_no_indices(self, synth_vocab):
         corpus, _ = generate_synthetic(10, 15, synth_vocab, seed=6)
         params = init_params(synth_vocab.dim, 8, 4, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^evaluate needs at least 2 finding indices, got 0$"):
             evaluate(params, corpus, [], synth_vocab)
+
+    def test_one_index_is_refused(self, synth_vocab):
+        # Unchecked, it fails in pearson, which names neither evaluate nor the count.
+        corpus, _ = generate_synthetic(10, 15, synth_vocab, seed=6)
+        params = init_params(synth_vocab.dim, 8, 4, seed=0)
+        for indices in ([3], np.array([3])):
+            with pytest.raises(ValueError,
+                               match="^evaluate needs at least 2 finding indices, got 1$"):
+                evaluate(params, corpus, indices, synth_vocab)
 
     def test_index_array_equals_index_tuple(self, synth_vocab):
         corpus, _ = generate_synthetic(10, 15, synth_vocab, noise_sd=0.1, seed=6)
@@ -228,7 +237,7 @@ class TestEvaluate:
         want = evaluate(params, corpus, split.test_indices, synth_vocab)
         assert len(want["predictions"]) == len(split.test_indices) > 1
         assert evaluate(params, corpus, np.array(split.test_indices), synth_vocab) == want
-        with pytest.raises(ValueError, match="^no finding indices to evaluate$"):
+        with pytest.raises(ValueError, match="^evaluate needs at least 2 finding indices, got 0$"):
             evaluate(params, corpus, np.array([], dtype=np.int64), synth_vocab)
 
     def test_zero_variance_error(self, tmp_path, synth_vocab):
