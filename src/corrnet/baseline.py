@@ -50,8 +50,11 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     Findings that contain both correlates (i.e. report this very pair) are
     counted once. Pairs with no training coverage fall back to the global
     training mean. The "average" mode instead averages the two correlates'
-    individual means. A correlate id outside [0, n_correlates) is refused.
+    individual means. A self-pair and a correlate id outside
+    [0, n_correlates) are refused.
     """
+    if c_i == c_j:
+        raise ValueError(f"pair ({c_i}, {c_j}) pairs correlate id {c_i} with itself")
     seen_i = model.per_correlate.get(c_i)
     seen_j = model.per_correlate.get(c_j)
     if seen_i is None or seen_j is None:  # an id outside the corpus lands here

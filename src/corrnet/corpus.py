@@ -316,6 +316,8 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
         raise ValueError("vocabulary is empty")
     if not noise_sd >= 0:  # also rejects nan
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not math.isfinite(noise_sd):
+        raise ValueError(f"noise_sd must be finite, got {noise_sd}")
     n_phrases = sum(len(vocab.vectors) ** k for k in range(3, 9))
     if n_correlates > n_phrases:
         raise ValueError(f"n_correlates = {n_correlates} exceeds the {n_phrases} distinct "

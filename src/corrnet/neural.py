@@ -10,6 +10,7 @@ checked strictly against finite differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -402,18 +403,24 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
 
 
 def save_checkpoint(model: ModelParams | Ensemble, path) -> None:
-    """Exact (bit-preserving) serialization of dims and all matrices, written
-    to exactly path. An ensemble stacks every weight on a leading member axis
-    and adds its member seeds and bagging flag."""
+    """Exact (bit-preserving) serialization, written to exactly path. The file
+    (format 2) holds the dims and one float64 array, params, with every weight
+    raveled in _shapes order: shape (P,) for a model, and (K, P) for an
+    ensemble of K members, member k in row k, beside its member seeds and
+    bagging flag."""
     if isinstance(model, Ensemble):
-        first = model.members[0]
-        arrays = {k: np.stack([p.weights[k] for p in model.members]) for k in first.weights}
-        arrays.update(__seeds=np.array(model.member_seeds), __bagging=np.array(bool(model.bagging)))
+        first, params = model.members[0], np.stack([_flat(p) for p in model.members])
+        extra = {"__seeds": np.array(model.member_seeds),
+                 "__bagging": np.array(bool(model.bagging))}
     else:
-        first, arrays = model, model.weights
+        first, params, extra = model, _flat(model), {}
     with open(path, "wb") as fh:
-        np.savez(fh, __format_version=np.array([1]),
-                 __dims=np.array([first.d, first.h, first.m]), **arrays)
+        np.savez(fh, __format_version=np.array([2]),
+                 __dims=np.array([first.d, first.h, first.m]), params=params, **extra)
+
+
+def _flat(params: ModelParams) -> np.ndarray:
+    return np.concatenate([w.ravel() for w in params.weights.values()])
 
 
 def load_checkpoint(path) -> ModelParams | Ensemble:
@@ -421,7 +428,12 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
     dims and seeds are integers and its bagging flag boolean, its parameter
     names, that every weight is floating point, and every shape against its
     stored dims and, for an ensemble, its member count. A file that numpy
-    cannot read as an archive of arrays fails with its path named."""
+    cannot read as an archive of arrays fails with its path named.
+
+    Format 1, which earlier versions wrote, stores each weight as its own
+    array (with a leading member axis in an ensemble) and still loads: format
+    2's params is split into those named arrays, and both take the same
+    checks from there."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             stored = {k: data[k] for k in data.files}
@@ -430,7 +442,7 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
     version = stored.pop("__format_version", None)
     if version is None or "__dims" not in stored:
         raise ValueError(f"{path}: not a corrnet checkpoint (no format version or dims)")
-    if version.tolist() != [1]:
+    if version.tolist() not in ([1], [2]):
         raise ValueError(f"{path}: unsupported checkpoint version {version.tolist()}")
     dims = stored.pop("__dims")
     if dims.shape != (3,) or dims.dtype.kind not in "iu" or dims.min() < 1:
@@ -446,17 +458,13 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
             raise ValueError(f"{path}: an ensemble needs a boolean __bagging flag")
     lead = () if seeds is None else seeds.shape
     shapes = _shapes(d, h, m)  # computed, not allocated: the dims are untrusted
-    if stored.keys() != shapes.keys():
-        raise ValueError(f"{path}: missing parameters {sorted(shapes.keys() - stored.keys())}, "
-                         f"unexpected {sorted(stored.keys() - shapes.keys())}")
+    expected = (f" for d={d}, h={h}, m={m}"
+                + (f" and {lead[0]} member seeds" if lead else ""))
+    if version.tolist() == [2]:
+        stored = _unflat(path, stored, lead, shapes, expected)
+    _check_names(path, stored, shapes.keys())
     for name, shape in shapes.items():
-        if stored[name].shape != lead + shape:
-            raise ValueError(f"{path}: {name} has shape {stored[name].shape}, expected "
-                             f"{lead + shape} for d={d}, h={h}, m={m}"
-                             + (f" and {lead[0]} member seeds" if lead else ""))
-        if stored[name].dtype.kind != "f":  # a complex or boolean cast would lose data silently
-            raise ValueError(f"{path}: {name} has dtype {stored[name].dtype}, "
-                             "expected floating point")
+        _check_array(path, name, stored[name], lead + shape, expected)
     weights = {k: v.astype(np.float64, copy=False) for k, v in stored.items()}  # copied below
     if bad := [k for k, v in weights.items() if not np.isfinite(v).all()]:
         raise ValueError(f"{path}: non-finite values in parameter {bad[0]}")
@@ -464,6 +472,35 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
         return ModelParams(d, h, m, weights)
     return Ensemble([ModelParams(d, h, m, {k: v[i] for k, v in weights.items()})
                      for i in range(len(seeds))], seeds.tolist(), bool(bagging))
+
+
+def _check_names(path, stored: dict, names) -> None:
+    if stored.keys() != names:
+        raise ValueError(f"{path}: missing parameters {sorted(names - stored.keys())}, "
+                         f"unexpected {sorted(stored.keys() - names)}")
+
+
+def _check_array(path, name: str, array: np.ndarray, shape: tuple[int, ...],
+                 expected: str) -> None:
+    if array.shape != shape:
+        raise ValueError(f"{path}: {name} has shape {array.shape}, expected {shape}{expected}")
+    if array.dtype.kind != "f":  # a complex or boolean cast would lose data silently
+        raise ValueError(f"{path}: {name} has dtype {array.dtype}, expected floating point")
+
+
+def _unflat(path, stored: dict, lead: tuple[int, ...], shapes: dict,
+            expected: str) -> dict[str, np.ndarray]:
+    """Format 2's params, checked, as format 1's named arrays: views of its
+    consecutive slices, each reshaped to lead + the weight's shape."""
+    _check_names(path, stored, {"params"})
+    params = stored["params"]
+    sizes = [math.prod(shape) for shape in shapes.values()]  # Python ints, never allocated
+    _check_array(path, "params", params, lead + (sum(sizes),), expected)
+    named, start = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        named[name] = params[..., start:start + size].reshape(lead + shape)
+        start += size
+    return named
 
 
 def gradcheck(params: ModelParams, seq_a, seq_b) -> float:

@@ -35,8 +35,8 @@ class TrainConfig:
     head_width: int = 32
 
     def __post_init__(self):
-        if not self.learning_rate > 0:  # "not >" also rejects nan
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # "not <" also rejects nan
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not self.grad_clip > 0:
             raise ValueError("grad_clip must be positive")
         if self.early_stop_patience < 0:

@@ -61,7 +61,8 @@ def test_02_symmetry():
     model = fit_baseline(corpus, range(25))
     for i in range(8):
         for j in range(8):
-            ok &= baseline_predict(model, i, j) == baseline_predict(model, j, i)
+            if j != i:  # a self-pair is refused
+                ok &= baseline_predict(model, i, j) == baseline_predict(model, j, i)
     elapsed = time.monotonic() - start
     report(2, "symmetry", ok and elapsed < 10, f"{elapsed:.1f}s")
 

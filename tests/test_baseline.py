@@ -69,13 +69,26 @@ def test_correlate_id_outside_corpus_is_refused(mode, c_i, c_j, bad):
             baseline_predict(model, *pair)
 
 
+@pytest.mark.parametrize("mode", ["pool", "average"])
+@pytest.mark.parametrize("c", [0, 3, 4])
+def test_self_pair_is_refused(mode, c):
+    # Unchecked, (c, c) returned correlate c's own training mean; 4 has no
+    # training findings.
+    corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4), (1, 3, 0.6), (2, 4, 0.1)])
+    model = fit_baseline(corpus, [0, 1, 2], mode=mode)
+    with pytest.raises(ValueError, match=f"^pair \\({c}, {c}\\) pairs correlate id {c} "
+                                         "with itself$"):
+        baseline_predict(model, c, c)
+
+
 def test_symmetry():
     rng = np.random.default_rng(0)
     corpus = random_corpus(rng, n_correlates=6, n_findings=15)
     model = fit_baseline(corpus, range(15))
     for i in range(6):
         for j in range(6):
-            assert baseline_predict(model, i, j) == baseline_predict(model, j, i)
+            if j != i:  # a self-pair is refused
+                assert baseline_predict(model, i, j) == baseline_predict(model, j, i)
 
 
 def test_predictions_within_train_range():

@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -236,7 +237,9 @@ def test_qbc_rejects_seed_count_mismatch(workdir, ens_file, capsys):
         np.savez(fh, **stored)
     rc, _, err = qbc(capsys, workdir, ens_file)
     assert rc == 1
-    assert f"{ens_file}: w_z has shape (2, 8, 8), expected (3, 8, 8)" in err
+    # 481 = 3 * 8 * 8 + 3 * 8 * 8 + 4 * 16 + 4 + 3 * 8 + 4 + 1 parameters per member.
+    assert (f"{ens_file}: params has shape (2, 481), expected (3, 481) "
+            "for d=8, h=8, m=4 and 3 member seeds") in err
 
 
 def test_qbc_rejects_model_file(workdir, capsys):
@@ -256,10 +259,17 @@ def test_eval_rejects_ensemble_file(workdir, ens_file, capsys):
 
 
 def corrupt(path, name, index, value):
-    """Rewrite one weight entry of a checkpoint file in place."""
+    """Rewrite one weight entry of a checkpoint file in place, in that
+    weight's slice of params (the weights raveled in spec order, one row
+    per member)."""
     with np.load(path) as data:
         stored = {k: data[k] for k in data.files}
-    stored[name][index] = value
+    shapes = neural._shapes(*stored["__dims"].tolist())
+    names = list(shapes)
+    start = sum(math.prod(shapes[k]) for k in names[:names.index(name)])
+    lead = stored["params"].ndim - 1
+    entry = start + np.ravel_multi_index(index[lead:], shapes[name])
+    stored["params"][index[:lead] + (entry,)] = value
     with open(path, "wb") as fh:
         np.savez(fh, **stored)
 
@@ -295,14 +305,14 @@ def test_ensemble_with_non_finite_member_fails_at_load(workdir, ens_file, capsys
 @pytest.mark.parametrize("flags, message", [
     (["--batch-size", "0"], "batch_size must be >= 1, got 0"),
     (["--epochs", "-1"], "epochs must be >= 0, got -1"),
-], ids=["batch_size", "epochs"])
+    (["--learning-rate", "inf"], "learning_rate must be positive and finite, got inf"),
+], ids=["batch_size", "epochs", "learning_rate"])
 def test_train_rejects_out_of_range_config(workdir, capsys, flags, message):
     tmp_path, corpus, emb = workdir
     ckpt = tmp_path / "model.npz"
-    rc, _, err = run(capsys, ["train", "--corpus", corpus, "--embeddings", emb,
-                              "--out", str(ckpt)] + flags)
-    assert rc == 1
-    assert err == f"error: {message}\n"
+    rc, out, err = run(capsys, ["train", "--corpus", corpus, "--embeddings", emb,
+                                "--out", str(ckpt)] + flags)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
     assert not ckpt.exists()
 
 
@@ -319,6 +329,8 @@ def test_corpus_gen_rejects_negative_noise(tmp_path, capsys):
     (["--correlates", "1", "--findings", "0"], "n_correlates must be >= 2, got 1"),
     (["--correlates", "10", "--findings", "-3"], "n_findings must be >= 1, got -3"),
     (["--correlates", "-1", "--findings", "1"], "n_correlates must be >= 2, got -1"),
+    (["--correlates", "10", "--findings", "5", "--noise", "inf"],
+     "noise_sd must be finite, got inf"),
 ])
 def test_corpus_gen_rejects_impossible_request(tmp_path, capsys, argv, message):
     out = tmp_path / "c.tsv"

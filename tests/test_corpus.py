@@ -580,6 +580,11 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="noise_sd must be >= 0"):
             generate_synthetic(6, 5, synth_vocab, noise_sd=noise_sd, seed=0)
 
+    def test_infinite_noise(self, synth_vocab):
+        # Unchecked, inf noise clips every r to +-1.
+        with pytest.raises(ValueError, match="^noise_sd must be finite, got inf$"):
+            generate_synthetic(6, 5, synth_vocab, noise_sd=float("inf"), seed=0)
+
     @pytest.mark.parametrize("n_correlates, n_findings, message", [
         (1, 0, "n_correlates must be >= 2, got 1"),
         (-1, 1, "n_correlates must be >= 2, got -1"),

@@ -3,6 +3,7 @@ import os
 import pickle
 import re
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,9 @@ from corrnet.neural import (Ensemble, ModelParams, backward, gradcheck, init_par
                             zero_grads)
 from corrnet.textnorm import MAX_TOKENS
 from corrnet.training import AdamState, TrainConfig, adam_step, evaluate
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def sigmoid(x):
@@ -120,11 +124,11 @@ class TestStackedKernels:
             for i, q in enumerate(members):
                 for other in members[i + 1:]:
                     assert not np.shares_memory(q.w_in, other.w_in)
-        # The file holds the named weights in spec order, as plain arrays would.
+        # The file holds the weights raveled in spec order as one plain array.
         save_checkpoint(p, tmp_path / "stacked")
+        params = np.concatenate([p.weights[k].ravel() for k in spec_order_draws(1, 1, 1, 0)])
         with open(tmp_path / "plain", "wb") as fh:
-            np.savez(fh, __format_version=np.array([1]), __dims=np.array([5, 4, 3]),
-                     **{k: v.copy() for k, v in p.weights.items()})
+            np.savez(fh, __format_version=np.array([2]), __dims=np.array([5, 4, 3]), params=params)
         assert (tmp_path / "stacked").read_bytes() == (tmp_path / "plain").read_bytes()
 
     def test_adam_step_updates_the_stacks_in_place(self):
@@ -857,8 +861,62 @@ def test_ensemble_checkpoint_round_trip_property(dims, seeds, bagging):
                                   predict(ens.members, seqs, pairs))
 
 
+def assert_bitwise_weights(p, arrays):
+    """Every weight of p has the bytes of arrays[name] (float64 either way)."""
+    assert p.weights.keys() == arrays.keys()
+    for name, w in p.weights.items():
+        assert (w.dtype, w.shape, w.tobytes()) == (np.float64, arrays[name].shape,
+                                                   arrays[name].tobytes()), name
+
+
+def extreme_params(dims, seed):
+    """random_params with signed zeros, subnormals and the largest floats mixed in."""
+    p, rng = random_params(dims, seed), np.random.default_rng(seed)
+    extremes = [-0.0, 5e-324, -2.2e-308, np.finfo(float).max]
+    for w in p.weights.values():
+        w.flat[rng.integers(0, w.size)] = rng.choice(extremes)
+    return p
+
+
+def test_checkpoint_round_trip_is_bitwise(tmp_path):
+    p = extreme_params((5, 4, 3), 21)
+    assert_bitwise_weights(round_trip(p), p.weights)
+    ens = Ensemble([extreme_params((5, 4, 3), s) for s in (22, 23, 24)], [22, 23, 24], True)
+    loaded = round_trip(ens)
+    assert (loaded.member_seeds, loaded.bagging) == ([22, 23, 24], True)
+    for p, q in zip(ens.members, loaded.members, strict=True):
+        assert_bitwise_weights(q, p.weights)
+
+
+@pytest.mark.parametrize("fixture", ["format1_model.npz", "format1_ensemble.npz"])
+def test_format1_fixture_loads_its_arrays_and_saves_as_format2(tmp_path, fixture):
+    # The fixtures were written by the format-1 save_checkpoint (d 4, h 3, m 2).
+    with np.load(DATA / fixture) as data:
+        raw = dict(data)
+    assert raw["__format_version"].tolist() == [1]
+    named = {k: v for k, v in raw.items() if not k.startswith("__")}
+
+    def assert_stored(model):
+        if "__seeds" not in raw:
+            assert_bitwise_weights(model, named)
+            return
+        assert (model.member_seeds, model.bagging) == (raw["__seeds"].tolist(),
+                                                       bool(raw["__bagging"]))
+        for k, member in enumerate(model.members):
+            assert_bitwise_weights(member, {n: w[k] for n, w in named.items()})
+
+    model = load_checkpoint(DATA / fixture)
+    assert_stored(model)
+    path = tmp_path / fixture
+    save_checkpoint(model, path)
+    with np.load(path) as data:
+        assert data["__format_version"].tolist() == [2]
+        assert "params" in data.files and "u_c" not in data.files
+    assert_stored(load_checkpoint(path))
+
+
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda w: w.update(__format_version=np.array([2])), "unsupported checkpoint version"),
+    (lambda w: w.update(__format_version=np.array([3])), "unsupported checkpoint version"),
     (lambda w: w.pop("__dims"), "not a corrnet checkpoint"),
     (lambda w: w.pop("u_c"), r"missing parameters \['u_c'\]"),
     (lambda w: w.update(extra=np.zeros(3)), r"unexpected \['extra'\]"),
@@ -866,6 +924,7 @@ def test_ensemble_checkpoint_round_trip_property(dims, seeds, bagging):
     (lambda w: w.update(__dims=np.array([4, 4, 3])), "w_z has shape"),
 ])
 def test_checkpoint_mismatch_names_file(tmp_path, corrupt, message):
+    # A format-1 file: each weight is its own array.
     p = init_params(5, 4, 3, seed=13)
     stored = {"__format_version": np.array([1]), "__dims": np.array([5, 4, 3]), **p.weights}
     corrupt(stored)
@@ -888,10 +947,55 @@ def test_checkpoint_with_non_float_weights_names_file(tmp_path, ensemble, cast):
     save_checkpoint(Ensemble(members, [0, 1], False) if ensemble else members[0], path)
     with np.load(path) as data:
         stored = dict(data)
-    stored["u_c"] = cast(stored["u_c"])
+    stored["params"] = cast(stored["params"])
+    np.savez(path, **stored)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: params has dtype "
+                                         f"{stored['params'].dtype}, expected floating point$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fixture", ["format1_model.npz", "format1_ensemble.npz"])
+def test_format1_checkpoint_with_non_float_weights_names_file(tmp_path, fixture):
+    with np.load(DATA / fixture) as data:
+        stored = dict(data)
+    stored["u_c"] = stored["u_c"] + 1j
+    path = tmp_path / fixture
     np.savez(path, **stored)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: u_c has dtype "
-                                         f"{stored['u_c'].dtype}, expected floating point$"):
+                                         "complex128, expected floating point$"):
+        load_checkpoint(path)
+
+
+def n_params(d, h, m):
+    """The number of parameters of a (d, h, m) model, counted from spec_order_draws."""
+    return sum(w.size for w in spec_order_draws(d, h, m, 0).values())
+
+
+@pytest.mark.parametrize("ensemble, corrupt, message", [
+    (False, lambda w: w.update(params=w["params"][:-1]),
+     rf"params has shape \({n_params(5, 4, 3) - 1},\), expected \({n_params(5, 4, 3)},\) "
+     r"for d=5, h=4, m=3$"),
+    (False, lambda w: w.update(params=w["params"][None]), r"params has shape \(1, "),
+    (False, lambda w: w.update(u_c=np.zeros((4, 4))), r"missing parameters \[\], "
+                                                      r"unexpected \['u_c'\]$"),
+    (False, lambda w: w.pop("params"), r"missing parameters \['params'\], unexpected \[\]$"),
+    (True, lambda w: w.update(__seeds=np.array([0, 1, 2])),
+     rf"params has shape \(2, {n_params(5, 4, 3)}\), expected \(3, {n_params(5, 4, 3)}\) "
+     r"for d=5, h=4, m=3 and 3 member seeds$"),
+    # P is about 8e18 here: it is only compared, never allocated.
+    (False, lambda w: w.update(__dims=np.array([10**9] * 3)),
+     rf"params has shape \({n_params(5, 4, 3)},\), expected \(8000000005000000001,\) "
+     r"for d=1000000000, h=1000000000, m=1000000000$"),
+], ids=["short", "extra-axis", "extra-array", "no-params", "member-count", "huge-dims"])
+def test_format2_checkpoint_mismatch_names_file(tmp_path, ensemble, corrupt, message):
+    members = [init_params(5, 4, 3, seed=k) for k in range(2)]
+    path = tmp_path / "model.npz"
+    save_checkpoint(Ensemble(members, [0, 1], False) if ensemble else members[0], path)
+    with np.load(path) as data:
+        stored = dict(data)
+    corrupt(stored)
+    np.savez(path, **stored)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         load_checkpoint(path)
 
 
