@@ -30,7 +30,7 @@ FILE_KEYS = {"train_fraction": float, "seed": int, "epochs": int, "learning_rate
 
 def load_config_file(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as fh, utf8_errors(path, ValueError):
+    with open(path, encoding="utf-8") as fh, utf8_errors(path):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -46,6 +46,15 @@ def load_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: {key}: invalid "
                                  f"{FILE_KEYS[key].__name__} value {raw!r}") from None
     return values
+
+
+def _check_output(flag: str, *paths) -> None:
+    """Refuse an output path of the flag whose directory does not exist, or
+    that is itself a directory; each command checks before it reads input."""
+    for path in paths:
+        if path is not None and (os.path.isdir(path)
+                                 or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ValueError(f"--{flag} {path}: not a file in an existing directory")
 
 
 def _train_config(args) -> training.TrainConfig:
@@ -83,6 +92,7 @@ def cmd_corpus(args) -> int:
         print("untested_fraction\t%.6f" % stats["untested_fraction"])
         return 0
     # gen
+    _check_output("out", args.out)
     if args.embeddings:
         vocab = load_embeddings(args.embeddings)
     else:
@@ -95,13 +105,15 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_output("out", args.out)
+    _check_output("log", args.log)
     corpus, split = _load_split(args, min_test=2)
     table = load_embeddings(args.embeddings)
     params, report = training.train(corpus, split, table, _train_config(args))
+    result = training.evaluate(params, corpus, split.test_indices, table)
     neural.save_checkpoint(params, args.out)
     if args.log:
         _write_report_log(report, args.log)
-    result = training.evaluate(params, corpus, split.test_indices, table)
     print("test_pearson_r\t%.6f" % result["pearson_r"])
     return 0
 
@@ -141,6 +153,7 @@ def _load_model(path, table, kind=(neural.ModelParams, neural.Ensemble)):
 
 
 def cmd_ensemble_train(args) -> int:
+    _check_output("out", args.out)
     corpus, split = _load_split(args)
     table = load_embeddings(args.embeddings)
     ens = ensemble_mod.train_ensemble(corpus, split, table, _train_config(args), args.members,
@@ -154,10 +167,13 @@ def cmd_qbc(args) -> int:
     if args.candidates < ensemble_mod.MIN_TREND_ESTIMATES:
         raise ValueError(f"--candidates must be at least {ensemble_mod.MIN_TREND_ESTIMATES} "
                          f"for the disagreement trend, got {args.candidates}")
+    _check_output("out", args.out)
+    _check_output("scatter", args.scatter)
     corpus = corpus_mod.load_corpus(args.corpus)
     table = load_embeddings(args.embeddings)
     ens = _load_model(args.ensemble, table, neural.Ensemble)
     estimates = ensemble_mod.qbc_search(ens, corpus, table, args.candidates, args.seed, args.top)
+    trend = ensemble_mod.disagreement_trend(estimates)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("correlate_a_text\tcorrelate_b_text\tmean\tdisagreement\tci_half_width\tflagged\n")
         for e in estimates:
@@ -170,7 +186,6 @@ def cmd_qbc(args) -> int:
             fh.write("mean\tdisagreement\n")
             for e in estimates:
                 fh.write("%.6f\t%.6f\n" % (e.mean, e.disagreement))
-    trend = ensemble_mod.disagreement_trend(estimates)
     print("trend_pearson_r\t%.6f" % trend["pearson_r"])
     print("mwu_u\t%.1f" % trend["mwu"].u_statistic)
     print("mwu_p\t%.3g" % trend["mwu"].p_value)
@@ -178,6 +193,7 @@ def cmd_qbc(args) -> int:
 
 
 def cmd_infill(args) -> int:
+    _check_output("out", f"{args.out}.values.tsv", f"{args.out}.mask.tsv")
     corpus = corpus_mod.load_corpus(args.corpus)
     table = load_embeddings(args.embeddings)
     model = _load_model(args.checkpoint, table)
@@ -325,7 +341,7 @@ def main(argv=None) -> int:
         if config_path:
             args = build_parser(load_config_file(config_path)).parse_args(argv)
         return args.func(args)
-    except Exception as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

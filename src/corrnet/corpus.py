@@ -18,10 +18,6 @@ from .embeddings import EmbeddingTable
 from .textnorm import normalize, utf8_errors
 
 
-class CorpusError(Exception):
-    """Raised for malformed or degenerate findings files."""
-
-
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
@@ -160,9 +156,12 @@ class Corpus:
         return len(self.r)
 
     def check_indices(self, indices, role: str) -> None:
-        """Refuse finding indices outside [0, n_findings), naming the first by
-        its role; numpy would wrap a negative one to a finding silently."""
+        """Refuse finding indices that are not integers, or outside
+        [0, n_findings), naming the first by its role; numpy would wrap a
+        negative one to a finding silently."""
         idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"{role} indices must be integers, got {idx.dtype}")
         bad = idx[(idx < 0) | (idx >= self.n_findings)]
         if len(bad):
             raise ValueError(f"{role} index {bad[0]} outside the corpus's "
@@ -207,33 +206,33 @@ def load_corpus(path) -> Corpus:
         """The id of a text not seen before in this file."""
         tokens = tuple(normalize(text))
         if not tokens:
-            raise CorpusError(f"{path}:{lineno}: correlate text normalizes to empty token list")
+            raise ValueError(f"{path}:{lineno}: correlate text normalizes to empty token list")
         cid = id_of[text] = interner.intern(text, tokens)
         return cid
 
     a, b, r, year, paper_code = [], [], [], [], []
     paper_codes: dict[str, int] = {}  # paper id -> its index in first-seen order
-    with open(path, encoding="utf-8") as fh, utf8_errors(path, CorpusError):
+    with open(path, encoding="utf-8") as fh, utf8_errors(path):
         for lineno, line in enumerate(fh, start=1):
             s = line.lstrip()
             if not s or s[0] == "#":
                 continue
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 5:
-                raise CorpusError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
+                raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(fields)}")
             paper_id, year_s, text_a, text_b, r_s = fields
             try:
                 year_i = int(year_s)
             except ValueError:
-                raise CorpusError(f"{path}:{lineno}: unparseable year {year_s!r}") from None
+                raise ValueError(f"{path}:{lineno}: unparseable year {year_s!r}") from None
             if not _INT64_MIN <= year_i <= _INT64_MAX:
-                raise CorpusError(f"{path}:{lineno}: year {year_s!r} outside the int64 range")
+                raise ValueError(f"{path}:{lineno}: year {year_s!r} outside the int64 range")
             try:
                 r_f = float(r_s)
             except ValueError:
-                raise CorpusError(f"{path}:{lineno}: unparseable r {r_s!r}") from None
+                raise ValueError(f"{path}:{lineno}: unparseable r {r_s!r}") from None
             if not -1.0 <= r_f <= 1.0:
-                raise CorpusError(f"{path}:{lineno}: r = {r_f} outside [-1, 1]")
+                raise ValueError(f"{path}:{lineno}: r = {r_f} outside [-1, 1]")
             id_a = id_of.get(text_a)
             if id_a is None:
                 id_a = correlate_id(text_a, lineno)
@@ -241,14 +240,14 @@ def load_corpus(path) -> Corpus:
             if id_b is None:
                 id_b = correlate_id(text_b, lineno)
             if id_a == id_b:
-                raise CorpusError(f"{path}:{lineno}: both correlates normalize to the same variable")
+                raise ValueError(f"{path}:{lineno}: both correlates normalize to the same variable")
             a.append(id_a)
             b.append(id_b)
             r.append(r_f)
             year.append(year_i)
             paper_code.append(paper_codes.setdefault(paper_id, len(paper_codes)))
     if not r:
-        raise CorpusError(f"{path}: empty corpus")
+        raise ValueError(f"{path}: empty corpus")
     return Corpus(interner.correlates, a, b, r, year, paper_code, list(paper_codes))
 
 
@@ -269,9 +268,11 @@ def split_corpus(corpus: Corpus, train_fraction: float = 0.8, seed: int = 0) -> 
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = corpus.n_findings
     if n < 2:
-        raise CorpusError("need at least 2 findings to split")
+        raise ValueError("need at least 2 findings to split")
     n_train = int(math.floor(train_fraction * n + 0.5))
     if not 0 < n_train < n:
         raise ValueError(f"train_fraction = {train_fraction} splits {n} findings into "
@@ -295,7 +296,7 @@ def corpus_stats(corpus: Corpus) -> dict:
 def untested_fraction(n_correlates: int, n_tested_pairs: int) -> float:
     """The untested fraction from raw counts (no corpus needed)."""
     if n_correlates < 2:
-        raise CorpusError("untested fraction undefined with fewer than 2 correlates")
+        raise ValueError("untested fraction undefined with fewer than 2 correlates")
     return 1.0 - n_tested_pairs / (n_correlates * (n_correlates - 1) // 2)
 
 
@@ -318,6 +319,8 @@ def generate_synthetic(n_correlates: int, n_findings: int, vocab: EmbeddingTable
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     if not math.isfinite(noise_sd):
         raise ValueError(f"noise_sd must be finite, got {noise_sd}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n_phrases = sum(len(vocab.vectors) ** k for k in range(3, 9))
     if n_correlates > n_phrases:
         raise ValueError(f"n_correlates = {n_correlates} exceeds the {n_phrases} distinct "

@@ -15,10 +15,6 @@ import numpy as np
 from .textnorm import utf8_errors
 
 
-class EmbeddingError(Exception):
-    """Raised for malformed vector files."""
-
-
 @dataclass(frozen=True)
 class EmbeddingTable:
     dim: int
@@ -53,33 +49,36 @@ def load_embeddings(path) -> EmbeddingTable:
         """The component text of each row. The first error seen here ends the
         walk, so a bad row parsed before it is still reported first."""
         nonlocal header, dim, error
-        with open(path, encoding="utf-8") as fh, utf8_errors(path, EmbeddingError):
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split(None, 1)
-                if not parts:
-                    continue
-                if lineno == 1 and (header := _header(line.split())):
-                    continue
-                token, values = parts[0], parts[1] if len(parts) == 2 else ""
-                if dim is None:
-                    dim = len(values.split())
-                    if dim == 0:
-                        error = EmbeddingError(f"{path}:{lineno}: no vector components")
-                    elif header and header[1] != dim:
-                        error = EmbeddingError(f"{path}:1: header gives {header[1]} "
+        try:
+            with open(path, encoding="utf-8") as fh, utf8_errors(path):
+                for lineno, line in enumerate(fh, start=1):
+                    parts = line.split(None, 1)
+                    if not parts:
+                        continue
+                    if lineno == 1 and (header := _header(line.split())):
+                        continue
+                    token, values = parts[0], parts[1] if len(parts) == 2 else ""
+                    if dim is None:
+                        dim = len(values.split())
+                        if dim == 0:
+                            error = ValueError(f"{path}:{lineno}: no vector components")
+                        elif header and header[1] != dim:
+                            error = ValueError(f"{path}:1: header gives {header[1]} "
                                                f"components, the vectors have {dim}")
-                # Width-check the two rows loadtxt must not see: an empty one,
-                # which it would skip, shifting every later vector onto the
-                # wrong token, and a duplicate, whose width error comes first.
-                elif not values or token in index:
-                    if (n := len(values.split())) != dim:
-                        error = _width_error(path, lineno, dim, n)
-                if error is None and token in index:
-                    error = EmbeddingError(f"{path}:{lineno}: duplicated token {token!r}")
-                if error is not None:
-                    return
-                index[token] = lineno
-                yield values
+                    # Width-check the two rows loadtxt must not see: an empty one,
+                    # which it would skip, shifting every later vector onto the
+                    # wrong token, and a duplicate, whose width error comes first.
+                    elif not values or token in index:
+                        if (n := len(values.split())) != dim:
+                            error = _width_error(path, lineno, dim, n)
+                    if error is None and token in index:
+                        error = ValueError(f"{path}:{lineno}: duplicated token {token!r}")
+                    if error is not None:
+                        return
+                    index[token] = lineno
+                    yield values
+        except ValueError as exc:  # not valid UTF-8; loadtxt would take it for a bad row
+            error = exc
 
     lines = rows()
     first = next(lines, None)
@@ -93,20 +92,20 @@ def load_embeddings(path) -> EmbeddingTable:
         if matrix is None or matrix.shape[1] != dim or not np.isfinite(matrix).all():
             _raise_first_bad_row(path, index.values(), dim)
         if len(matrix) != len(index):  # loadtxt skipped a row it was given
-            raise EmbeddingError(f"{path}: {len(matrix)} vectors parsed "
-                                 f"for {len(index)} tokens")
+            raise ValueError(f"{path}: {len(matrix)} vectors parsed "
+                             f"for {len(index)} tokens")
     if error is not None:
         raise error
     if header and header[0] != len(index):
-        raise EmbeddingError(f"{path}:1: header gives {header[0]} vectors, "
-                             f"the file has {len(index)}")
+        raise ValueError(f"{path}:1: header gives {header[0]} vectors, "
+                         f"the file has {len(index)}")
     if matrix is None:
-        raise EmbeddingError(f"{path}: no vectors loaded")
+        raise ValueError(f"{path}: no vectors loaded")
     return _table(list(index), matrix, f"{path}: ")
 
 
-def _width_error(path, lineno: int, dim: int, n: int) -> EmbeddingError:
-    return EmbeddingError(f"{path}:{lineno}: expected {dim} components, got {n}")
+def _width_error(path, lineno: int, dim: int, n: int) -> ValueError:
+    return ValueError(f"{path}:{lineno}: expected {dim} components, got {n}")
 
 
 def _raise_first_bad_row(path, linenos, dim: int) -> None:
@@ -126,9 +125,9 @@ def _raise_first_bad_row(path, linenos, dim: int) -> None:
             except ValueError:
                 row = None
             if row is None or row.shape != (1, dim):
-                raise EmbeddingError(f"{path}:{lineno}: unparseable vector component")
+                raise ValueError(f"{path}:{lineno}: unparseable vector component")
             if not np.isfinite(row).all():
-                raise EmbeddingError(f"{path}:{lineno}: non-finite vector component")
+                raise ValueError(f"{path}:{lineno}: non-finite vector component")
     raise AssertionError(f"{path}: the vector parse failed on no single line")
 
 
@@ -140,22 +139,24 @@ def _table(tokens: list[str], matrix: np.ndarray, where: str = "") -> EmbeddingT
     with np.errstate(over="ignore", invalid="ignore"):
         mean = matrix.mean(axis=0)
     if not np.isfinite(mean).all():
-        raise EmbeddingError(f"{where}the mean of the loaded vectors is not finite")
+        raise ValueError(f"{where}the mean of the loaded vectors is not finite")
     return EmbeddingTable(matrix.shape[1], dict(zip(tokens, matrix)), mean)
 
 
 def make_table(tokens_to_vectors: dict[str, np.ndarray]) -> EmbeddingTable:
     """Build a table directly from a token->vector map (tests, synthesis)."""
     if not tokens_to_vectors:
-        raise EmbeddingError("empty vector map")
+        raise ValueError("empty vector map")
     vecs = [np.asarray(v, dtype=np.float64) for v in tokens_to_vectors.values()]
     if len({v.shape for v in vecs}) != 1:
-        raise EmbeddingError("inconsistent vector lengths")
+        raise ValueError("inconsistent vector lengths")
     return _table(list(tokens_to_vectors), np.stack(vecs))
 
 
 def random_table(n_tokens: int, dim: int, seed: int = 0) -> EmbeddingTable:
     """Deterministic random vocabulary, used by the synthetic generator."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     vecs = {f"w{i:04d}": rng.standard_normal(dim) for i in range(n_tokens)}
     return make_table(vecs)

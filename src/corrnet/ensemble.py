@@ -69,11 +69,11 @@ def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
         results = (pool.map(_train_shared_member, seeds) if pool else
                    (_train_member(seed, corpus, split, table, config, bagging)
                     for seed in seeds))
-        for k in range(n_members):
+        for k, seed in enumerate(seeds):
             try:
                 members.append(next(results))
-            except Exception as exc:
-                raise RuntimeError(f"training ensemble member {k} failed") from exc
+            except ValueError as exc:
+                raise ValueError(f"training ensemble member {k} (seed {seed}) failed: {exc}") from exc
     return Ensemble(members, seeds, bagging)
 
 
@@ -97,6 +97,8 @@ def sample_untested_pairs(corpus: Corpus, n_candidates: int, seed: int) -> list[
     at random given the seed."""
     if n_candidates < 0:
         raise ValueError(f"n_candidates must be >= 0, got {n_candidates}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n = corpus.n_correlates
     if n < 2:
         raise ValueError("need at least 2 correlates")

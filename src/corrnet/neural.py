@@ -60,7 +60,7 @@ class ModelParams:
     def assert_finite(self) -> None:
         for name, w in self.weights.items():
             if not np.all(np.isfinite(w)):
-                raise FloatingPointError(f"non-finite values in parameter {name}")
+                raise ValueError(f"non-finite values in parameter {name}")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateDataError(Exception):
+class DegenerateDataError(ValueError):
     """Raised when a statistic is undefined for the given data."""
 
 

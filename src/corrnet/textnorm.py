@@ -30,14 +30,14 @@ def normalize(raw: str) -> list[str]:
 
 
 @contextmanager
-def utf8_errors(path, error: type[Exception]):
+def utf8_errors(path):
     """Turn a UnicodeDecodeError raised while path is read as UTF-8 text into
-    error("path:line: not valid UTF-8"). The line is found by a rescan in
+    ValueError("path:line: not valid UTF-8"). The line is found by a rescan in
     binary only then, so a valid file pays nothing."""
     try:
         yield
     except UnicodeDecodeError:
-        raise error(f"{path}:{_first_undecodable_line(path)}: not valid UTF-8") from None
+        raise ValueError(f"{path}:{_first_undecodable_line(path)}: not valid UTF-8") from None
 
 
 def _first_undecodable_line(path) -> int:

@@ -18,10 +18,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-class TrainingError(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
@@ -44,8 +40,9 @@ class TrainConfig:
         for name in ("batch_size", "hidden_size", "head_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 <= self.val_fraction < 1:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
@@ -90,7 +87,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name}; step rejected")
+            raise ValueError(f"non-finite gradient for parameter {name}; step rejected")
     grads = clip_gradients(grads, config.grad_clip)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -135,7 +132,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
     """
     indices = list(train_indices if train_indices is not None else split.train_indices)
     if not indices:
-        raise TrainingError("empty train set")
+        raise ValueError("empty train set")
     corpus.check_indices(indices, "train")
     rng = np.random.default_rng(config.seed)
 

@@ -1,10 +1,26 @@
+import contextlib
+import io
+import linecache
 import math
 import os
+import pathlib
+import re
+import sys
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from corrnet import neural
+from conftest import apply_byte_edits
+
+from corrnet import cli, neural, training
+from corrnet import corpus as corpus_mod
+from corrnet import ensemble as ensemble_mod
+from corrnet import infill as infill_mod
 from corrnet.cli import main
 from corrnet.neural import init_params, save_checkpoint
 
@@ -381,3 +397,245 @@ def test_qbc_rejects_too_few_candidates_before_any_work(workdir, capsys):
     assert rc == 1
     assert err == "error: --candidates must be at least 8 for the disagreement trend, got 5\n"
     assert not report.exists()
+
+
+def command_argv(workdir, command, out, checkpoint="missing.npz"):
+    """The argv of one command on the workdir's inputs, writing to out."""
+    tmp_path, corpus, emb = workdir
+    inputs = ["--corpus", corpus, "--embeddings", emb]
+    gen = ["corpus", "gen", "--correlates", "10", "--findings", "12", "--out", out]
+    return {
+        "corpus gen": gen,
+        "corpus gen --embeddings": gen + ["--embeddings", emb],
+        "train": ["train", *inputs, "--out", out] + TRAIN_FLAGS,
+        "eval": ["eval", *inputs, "--checkpoint", checkpoint],
+        "baseline": ["baseline", "--corpus", corpus],
+        "ensemble-train": ["ensemble-train", *inputs, "--members", "2", "--out", out]
+                          + TRAIN_FLAGS,
+        "qbc": ["qbc", *inputs, "--ensemble", checkpoint, "--candidates", "20", "--out", out],
+        "infill": ["infill", *inputs, "--checkpoint", checkpoint,
+                   "--papers", first_paper(corpus), "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["corpus gen", "corpus gen --embeddings", "train", "eval",
+                                     "baseline", "ensemble-train", "qbc"])
+def test_negative_seed_is_refused(workdir, capsys, request, command):
+    # Unchecked, numpy refuses it as "expected non-negative integer", naming no parameter.
+    tmp_path = workdir[0]
+    checkpoint = request.getfixturevalue("ens_file") if command == "qbc" else "missing.npz"
+    before = set(os.listdir(tmp_path))
+    argv = command_argv(workdir, command, str(tmp_path / "out"), checkpoint)
+    rc, out, err = run(capsys, argv + ["--seed", "-1"])
+    assert (rc, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
+    assert set(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command, flag, step", [
+    ("corpus gen", "--out", (corpus_mod, "generate_synthetic")),
+    ("corpus gen --embeddings", "--out", (corpus_mod, "generate_synthetic")),
+    ("train", "--out", (training, "train")),
+    ("train", "--log", (training, "train")),
+    ("ensemble-train", "--out", (ensemble_mod, "train_ensemble")),
+    ("qbc", "--out", (ensemble_mod, "qbc_search")),
+    ("qbc", "--scatter", (ensemble_mod, "qbc_search")),
+    ("infill", "--out", (infill_mod, "build_table")),
+])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_bad_output_path_fails_before_any_work(workdir, capsys, monkeypatch, command, flag,
+                                               step, where):
+    tmp_path = workdir[0]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the output paths were checked")
+
+    for module, name in (step, (corpus_mod, "load_corpus"), (cli, "load_embeddings"),
+                         (cli, "random_table")):
+        monkeypatch.setattr(module, name, fail)
+    (tmp_path / "taken.values.tsv").mkdir()
+    bad = str(tmp_path / "no" / "such" / "dir") if where == "missing-directory" else (
+        str(tmp_path / "taken") if command == "infill" else str(tmp_path))
+    before = set(os.listdir(tmp_path))
+    argv = command_argv(workdir, command, bad if flag == "--out" else str(tmp_path / "out"))
+    if flag != "--out":
+        argv += [flag, bad]
+    written = f"{bad}.values.tsv" if command == "infill" else bad
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (
+        1, "", f"error: {flag} {written}: not a file in an existing directory\n")
+    assert set(os.listdir(tmp_path)) == before
+
+
+def test_defect_shows_its_traceback(workdir, monkeypatch):
+    # A defect is no input error: main lets it propagate with its traceback.
+    def defect(corpus):
+        raise KeyError(7)
+
+    monkeypatch.setattr(corpus_mod, "corpus_stats", defect)
+    with pytest.raises(KeyError) as exc:
+        main(["corpus", "stats", workdir[1]])
+    assert exc.value.args == (7,)
+
+
+def test_request_too_large_for_the_host_is_an_error(workdir, capsys, monkeypatch):
+    message = ("Unable to allocate 7.28 EiB for an array with shape (1000000000, "
+               "1000000000) and data type float64")
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(training, "init_params", too_large)
+    tmp_path = workdir[0]
+    before = set(os.listdir(tmp_path))
+    rc, out, err = run(capsys, command_argv(workdir, "train", str(tmp_path / "m.npz")))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert set(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_member_names_its_seed_and_cause(workdir, capsys, jobs):
+    tmp_path = workdir[0]
+    out = tmp_path / "ens.npz"
+    rc, stdout, err = run(capsys, command_argv(workdir, "ensemble-train", str(out))
+                          + ["--learning-rate", "1e308", "--jobs", jobs])
+    assert (rc, stdout, err) == (1, "", "error: training ensemble member 0 (seed 1) failed: "
+                                        "non-finite gradient for parameter w_z; step rejected\n")
+    assert not out.exists()
+
+
+# The error contract, as a property over every command: one input is
+# mutated, and the run either succeeds or fails as bad input. Inputs are the
+# names in CONTRACT_INPUTS; outputs are "out", "log" and "scatter".
+CONTRACT_INPUTS = ("corpus.tsv", "vectors.txt", "narrow.txt", "model.npz", "ensemble.npz")
+SMALL_TRAIN = ["--epochs", "2", "--hidden-size", "3", "--head-width", "2", "--batch-size", "4",
+               "--patience", "1", "--learning-rate", "0.01", "--grad-clip", "5", "--seed", "0",
+               "--train-fraction", "0.8"]
+SPLIT = ["--seed", "0", "--train-fraction", "0.8"]
+GEN = ["corpus", "gen", "--correlates", "8", "--findings", "10", "--seed", "0",
+       "--noise", "0.05", "--out", "out"]
+CONTRACT_COMMANDS = {
+    "corpus stats": ["corpus", "stats", "corpus.tsv"],
+    "corpus gen": GEN,
+    "corpus gen --embeddings": GEN + ["--embeddings", "vectors.txt"],
+    "train": ["train", "--corpus", "corpus.tsv", "--embeddings", "vectors.txt", "--out", "out",
+              "--log", "log"] + SMALL_TRAIN,
+    "eval": ["eval", "--corpus", "corpus.tsv", "--embeddings", "vectors.txt",
+             "--checkpoint", "model.npz"] + SPLIT,
+    "baseline": ["baseline", "--corpus", "corpus.tsv"] + SPLIT,
+    "ensemble-train": ["ensemble-train", "--corpus", "corpus.tsv", "--embeddings", "vectors.txt",
+                       "--members", "2", "--jobs", "1", "--out", "out"] + SMALL_TRAIN,
+    "qbc": ["qbc", "--corpus", "corpus.tsv", "--embeddings", "vectors.txt",
+            "--ensemble", "ensemble.npz", "--candidates", "8", "--top", "0.25", "--seed", "0",
+            "--out", "out", "--scatter", "scatter"],
+    "infill": ["infill", "--corpus", "corpus.tsv", "--embeddings", "vectors.txt",
+               "--checkpoint", "ensemble.npz", "--papers", "synth0", "--out", "out"],
+}
+# argparse itself refuses nan and inf for an int flag, with a usage error.
+INT_FLAGS = {"--seed", "--epochs", "--hidden-size", "--head-width", "--batch-size", "--patience",
+             "--members", "--jobs", "--candidates", "--correlates", "--findings"}
+FLOAT_FLAGS = {"--train-fraction", "--learning-rate", "--grad-clip", "--noise", "--top"}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """Tiny inputs for every command: 4-dim vectors with a header, 3-dim ones
+    for the same tokens, a 24-finding corpus, a model and a 2-member ensemble."""
+    where = tmp_path_factory.mktemp("contract")
+    rng = np.random.default_rng(1)
+    for name, width in (("vectors.txt", 4), ("narrow.txt", 3)):
+        rows = ["w%04d %s" % (i, " ".join("%.6f" % v for v in rng.standard_normal(width)))
+                for i in range(20)]
+        (where / name).write_text(f"20 {width}\n" + "\n".join(rows) + "\n")
+    path = {name: str(where / name) for name in CONTRACT_INPUTS}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["corpus", "gen", "--correlates", "12", "--findings", "24", "--seed", "2",
+                      "--embeddings", path["vectors.txt"], "--out", path["corpus.tsv"]],
+                     ["train", "--corpus", path["corpus.tsv"], "--embeddings", path["vectors.txt"],
+                      "--out", path["model.npz"]] + SMALL_TRAIN,
+                     ["ensemble-train", "--corpus", path["corpus.tsv"], "--embeddings",
+                      path["vectors.txt"], "--members", "2", "--out", path["ensemble.npz"]]
+                     + SMALL_TRAIN):
+            assert main(argv) == 0
+    return {name: (where / name).read_bytes() for name in CONTRACT_INPUTS}
+
+
+@st.composite
+def mutated_runs(draw):
+    """A command, and one mutation of it: an input file truncated, given one
+    byte or emptied, the vector file swapped for one of another width, or a
+    numeric flag set to an edge value."""
+    command = draw(st.sampled_from(sorted(CONTRACT_COMMANDS)))
+    argv = list(CONTRACT_COMMANDS[command])
+    files = [a for a in argv if a in CONTRACT_INPUTS]
+    flags = [i for i, a in enumerate(argv) if a in INT_FLAGS | FLOAT_FLAGS]
+    kind = draw(st.sampled_from([kind for kind, possible in (
+        ("file", files), ("swap", "vectors.txt" in argv), ("flag", flags)) if possible]))
+    edits, flag = [], None
+    if kind == "file":
+        edits = [(draw(st.sampled_from(files)), draw(st.one_of(
+            st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True), st.just(0)),
+            st.tuples(st.just("set"), st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+            st.just(("truncate", 0.0, 0)))))]
+    elif kind == "swap":
+        argv[argv.index("vectors.txt")] = "narrow.txt"
+    else:
+        i = draw(st.sampled_from(flags))
+        flag = argv[i]
+        value = draw(st.sampled_from(
+            ["0", "-1"] if flag in INT_FLAGS else ["nan", "inf", "-inf", "0", "-1"]))
+        argv[i:i + 2] = [f"{flag}={value}"]  # argparse would read a bare -inf as a flag
+    return argv, edits, flag
+
+
+def _raised_here(exc) -> bool:
+    """Whether exc was raised by a raise statement in the corrnet package."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    filename = tb.tb_frame.f_code.co_filename
+    return (os.path.dirname(filename) == os.path.dirname(cli.__file__)
+            and linecache.getline(filename, tb.tb_lineno).lstrip().startswith("raise"))
+
+
+@seed(33)
+@settings(max_examples=400, deadline=None)
+@given(case=mutated_runs())
+def test_every_failure_is_one_error_line_raised_by_corrnet(contract_inputs, case):
+    argv, edits, flag = case
+    with tempfile.TemporaryDirectory() as where:
+        for name, data in contract_inputs.items():
+            with open(os.path.join(where, name), "wb") as fh:
+                fh.write(data)
+        for name, edit in edits:
+            apply_byte_edits(pathlib.Path(where, name), [edit])
+        before = set(os.listdir(where))
+        argv = [os.path.join(where, a) if a in CONTRACT_INPUTS + ("out", "log", "scatter")
+                else a for a in argv]
+        reported = []
+
+        def record(*args, **kwargs):  # main's print, which sees the exception it reports
+            if sys.exc_info()[1] is not None:
+                reported.append(sys.exc_info()[1])
+            print(*args, **kwargs)
+
+        out, err = io.StringIO(), io.StringIO()
+        # Overflow in training on a mutated vector is a warning, not part of the contract.
+        with mock.patch.object(cli, "print", record, create=True), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(argv)
+        if rc == 0:
+            assert err.getvalue() == ""
+            return
+        assert rc == 1 and out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+        assert set(os.listdir(where)) == before
+        [exc] = reported
+        assert isinstance(exc, (ValueError, OSError, MemoryError))
+        if isinstance(exc, ValueError):
+            assert _raised_here(exc), exc
+        if flag is not None:
+            assert flag[2:].replace("-", "_") in str(exc)

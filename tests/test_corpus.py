@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import apply_byte_edits, byte_edits, corpus_from_findings
 from corrnet import corpus as corpus_mod
-from corrnet.corpus import (Correlate, Corpus, CorpusError, Finding, corpus_stats,
+from corrnet.corpus import (Correlate, Corpus, Finding, corpus_stats,
                             generate_synthetic, load_corpus, save_corpus, split_corpus,
                             untested_fraction)
 from corrnet.embeddings import random_table
@@ -43,29 +43,29 @@ def test_duplicate_text_shares_id(tmp_path):
 def test_dedup_is_token_level(tmp_path):
     # Same normalized tokens, different raw text -> one correlate.
     path = write(tmp_path, ["p1\t2010\tAge!\tage\t0.2"])
-    with pytest.raises(CorpusError, match="same variable"):
+    with pytest.raises(ValueError, match="same variable"):
         load_corpus(path)
 
 
 def test_r_out_of_range(tmp_path):
     path = write(tmp_path, ["p1\t2010\tA\tB\t1.5"])
-    with pytest.raises(CorpusError, match=":1"):
+    with pytest.raises(ValueError, match=":1"):
         load_corpus(path)
 
 
 def test_malformed_rows(tmp_path):
-    with pytest.raises(CorpusError, match="5 tab-separated"):
+    with pytest.raises(ValueError, match="5 tab-separated"):
         load_corpus(write(tmp_path, ["p1\t2010\tA\tB"]))
-    with pytest.raises(CorpusError, match="unparseable r"):
+    with pytest.raises(ValueError, match="unparseable r"):
         load_corpus(write(tmp_path, ["p1\t2010\tA\tB\txyz"]))
-    with pytest.raises(CorpusError, match="empty token"):
+    with pytest.raises(ValueError, match="empty token"):
         load_corpus(write(tmp_path, ["p1\t2010\t???\tB\t0.1"]))
 
 
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("# only a comment\n", encoding="utf-8")
-    with pytest.raises(CorpusError, match="empty corpus"):
+    with pytest.raises(ValueError, match="empty corpus"):
         load_corpus(path)
 
 
@@ -396,7 +396,7 @@ def test_empty_text_on_two_lines_names_the_first(tmp_path):
         "p1\t2010\t???\tIncome\t0.2",
         "p2\t2011\tAge\t???\t0.3",
     ])
-    with pytest.raises(CorpusError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_corpus(path)
     assert str(exc.value) == f"{path}:2: correlate text normalizes to empty token list"
 
@@ -415,7 +415,7 @@ def test_empty_text_on_two_lines_names_the_first(tmp_path):
 ])
 def test_first_of_two_bad_lines_is_reported(tmp_path, bad_2, bad_3, message):
     path = write(tmp_path, ["p0\t2009\tTenure\tIncome\t0.2", bad_2, bad_3])
-    with pytest.raises(CorpusError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_corpus(path)
     assert str(exc.value) == f"{path}:2: {message}"
 
@@ -426,7 +426,7 @@ def test_invalid_utf8_names_the_file_and_line(tmp_path, newline):
     lines = ["p1\t2001\tanxiety\tdepression\t0.5", "# comment", "p2\t2002\tsleep\tmo\xa6od\t0.1"]
     path = tmp_path / "c.tsv"
     path.write_bytes(newline.join(lines).encode("latin-1") + newline.encode())
-    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:3: not valid UTF-8$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: not valid UTF-8$"):
         load_corpus(path)
 
 
@@ -443,7 +443,7 @@ def test_mutated_file_loads_or_names_the_file(tmp_path_factory, edits):
     apply_byte_edits(path, edits)
     try:
         load_corpus(path)
-    except CorpusError as exc:
+    except ValueError as exc:
         assert str(exc).startswith(f"{path}")
 
 

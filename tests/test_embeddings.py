@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import apply_byte_edits, byte_edits
-from corrnet.embeddings import (EmbeddingError, embed_sequence, load_embeddings,
+from corrnet.embeddings import (embed_sequence, load_embeddings,
                                 make_table)
 
 
@@ -39,12 +39,12 @@ def test_mean_vector(tmp_path):
 
 def test_inconsistent_dim(tmp_path):
     path = write(tmp_path, "a 1 0\nb 0 1 2\n")
-    with pytest.raises(EmbeddingError, match=":2"):
+    with pytest.raises(ValueError, match=":2"):
         load_embeddings(path)
 
 
 def test_bad_component(tmp_path):
-    with pytest.raises(EmbeddingError, match="unparseable"):
+    with pytest.raises(ValueError, match="unparseable"):
         load_embeddings(write(tmp_path, "a 1 zz\n"))
 
 
@@ -55,13 +55,13 @@ def test_bad_component(tmp_path):
 ], ids=["nan", "inf", "duplicate"])
 def test_bad_row_names_its_line(tmp_path, text, message):
     path = write(tmp_path, text)
-    with pytest.raises(EmbeddingError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"{path}{message}"
 
 
 def test_empty_file(tmp_path):
-    with pytest.raises(EmbeddingError, match="no vectors"):
+    with pytest.raises(ValueError, match="no vectors"):
         load_embeddings(write(tmp_path, ""))
 
 
@@ -84,7 +84,7 @@ def test_line_order_insensitive(tmp_path):
         "header-dim"])
 def test_bad_file_names_its_line(tmp_path, text, message):
     path = write(tmp_path, text)
-    with pytest.raises(EmbeddingError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"{path}{message}"
 
@@ -92,7 +92,25 @@ def test_bad_file_names_its_line(tmp_path, text, message):
 def test_invalid_utf8_names_the_file_and_line(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_bytes(b"3 2\ncat 0.1 0.2\ndog 0.3 0.4\nd\xa6g 0.5 0.6\n")
-    with pytest.raises(EmbeddingError, match=f"^{re.escape(str(path))}:4: not valid UTF-8$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: not valid UTF-8$"):
+        load_embeddings(path)
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    (None, "15001: not valid UTF-8"),
+    (10, "10: unparseable vector component"),
+], ids=["utf8", "bad-row-first"])
+def test_invalid_utf8_past_the_first_read_names_its_line(tmp_path, bad_row, message):
+    # The bad byte lies beyond the first read of the file, so the parse of
+    # the rows meets it, and that parse's own ValueErrors mark bad rows. An
+    # earlier bad row is still reported first.
+    lines = [b"w%05d 0.5 -0.25" % i for i in range(20000)]
+    lines[15000] = b"w\xff 0.5 -0.25"
+    if bad_row is not None:
+        lines[bad_row - 1] = b"bad 0.5 x"
+    path = tmp_path / "vec.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{message}$"):
         load_embeddings(path)
 
 
@@ -105,7 +123,7 @@ def test_mutated_file_loads_or_names_the_file(tmp_path_factory, edits):
     apply_byte_edits(path, edits)
     try:
         load_embeddings(path)
-    except EmbeddingError as exc:
+    except ValueError as exc:
         assert str(exc).startswith(f"{path}")
 
 
@@ -168,7 +186,7 @@ def test_loader_matches_per_line_reference_bitwise(tmp_path_factory, text):
     with np.errstate(over="ignore", invalid="ignore"):
         mean = np.mean(np.array(rows), axis=0)
     if not np.isfinite(mean).all():
-        with pytest.raises(EmbeddingError) as exc:
+        with pytest.raises(ValueError) as exc:
             load_embeddings(path)
         assert str(exc.value) == f"{path}: the mean of the loaded vectors is not finite"
         return
@@ -183,12 +201,12 @@ def test_mean_that_overflows_is_rejected(tmp_path):
     """Finite rows whose mean overflows: an inf mean vector would reach every
     out-of-vocabulary token. Neither loader warns."""
     path = write(tmp_path, "a 1 8.98846567431158e+307\nb 2 8.98846567431158e+307\n")
-    with pytest.raises(EmbeddingError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_embeddings(path)
     assert str(exc.value) == f"{path}: the mean of the loaded vectors is not finite"
     rows = {"a": np.array([1.0, 8.98846567431158e+307]),
             "b": np.array([2.0, 8.98846567431158e+307])}
-    with pytest.raises(EmbeddingError) as exc:
+    with pytest.raises(ValueError) as exc:
         make_table(rows)
     assert str(exc.value) == "the mean of the loaded vectors is not finite"
 

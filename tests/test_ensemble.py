@@ -28,6 +28,13 @@ def _fail_second_member(seed, *inputs):
     return _train_member(seed, *inputs)
 
 
+def _crash_second_member(seed, *inputs):
+    """As _fail_second_member, with an error that is a defect, not bad input."""
+    if seed == 1:
+        raise KeyError(7)
+    return _train_member(seed, *inputs)
+
+
 def reference_sample(corpus, n_candidates, seed):
     """sample_untested_pairs drawing one pair of ids per integers call."""
     rng = np.random.default_rng(seed)
@@ -187,9 +194,19 @@ class TestTrainEnsemble:
     def test_failing_member_is_named(self, small_setup, synth_vocab, monkeypatch, jobs):
         corpus, split = small_setup
         monkeypatch.setattr(ensemble, "_train_member", _fail_second_member)
-        with pytest.raises(RuntimeError, match="^training ensemble member 1 failed$") as exc:
+        with pytest.raises(ValueError, match=r"^training ensemble member 1 \(seed 1\) failed: "
+                                             "member with seed 1$") as exc:
             train_ensemble(corpus, split, synth_vocab, FAST, 3, jobs=jobs)
         assert "member with seed 1" in str(exc.value.__cause__)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_member_defect_propagates_unchanged(self, small_setup, synth_vocab, monkeypatch,
+                                                jobs):
+        corpus, split = small_setup
+        monkeypatch.setattr(ensemble, "_train_member", _crash_second_member)
+        with pytest.raises(KeyError) as exc:
+            train_ensemble(corpus, split, synth_vocab, FAST, 3, jobs=jobs)
+        assert type(exc.value) is KeyError and exc.value.args == (7,)
 
     def test_jobs_must_be_positive(self, small_setup, synth_vocab):
         corpus, split = small_setup

@@ -1062,5 +1062,5 @@ def test_mutated_checkpoint_loads_or_names_the_file(tmp_path_factory, ensemble, 
 def test_assert_finite():
     p = init_params(2, 2, 2, seed=0)
     p.weights["w_z"][0, 0] = np.nan
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(ValueError, match="^non-finite values in parameter w_z$"):
         p.assert_finite()

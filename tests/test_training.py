@@ -6,9 +6,11 @@ import pytest
 from corrnet import training
 from corrnet.baseline import fit_baseline
 from corrnet.corpus import generate_synthetic, split_corpus
+from corrnet.embeddings import random_table
+from corrnet.ensemble import sample_untested_pairs
 from corrnet.neural import init_params, zero_grads
 from corrnet.stats import DegenerateDataError
-from corrnet.training import (AdamState, TrainConfig, TrainingError, adam_step,
+from corrnet.training import (AdamState, TrainConfig, adam_step,
                               clip_gradients, embed_pairs, evaluate, mse_loss, train)
 
 FAST = TrainConfig(epochs=30, hidden_size=8, head_width=4, seed=0)
@@ -86,7 +88,7 @@ class TestAdam:
         before = {k: v.copy() for k, v in p.weights.items()}
         grads = zero_grads(p)
         grads["w_z"][0, 0] = np.inf
-        with pytest.raises(TrainingError, match="step rejected"):
+        with pytest.raises(ValueError, match="step rejected"):
             adam_step(p, grads, AdamState.for_params(p), TrainConfig())
         for name in before:
             np.testing.assert_array_equal(p.weights[name], before[name])
@@ -142,7 +144,7 @@ class TestTrain:
     def test_empty_train_set(self, synth_vocab):
         corpus, _ = generate_synthetic(8, 6, synth_vocab, seed=2)
         split = split_corpus(corpus, 0.8, seed=0)
-        with pytest.raises(TrainingError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             train(corpus, split, synth_vocab, FAST, train_indices=[])
 
 
@@ -204,6 +206,37 @@ def test_index_outside_corpus_is_refused(synth_vocab, role, call, bad):
     with pytest.raises(ValueError,
                        match=f"^{role} index {bad} outside the corpus's 20 findings$"):
         call(corpus, synth_vocab, [bad, 0, 1])
+
+
+@pytest.mark.parametrize("indices", [np.array([0.5, 1.5, 2.5]), np.array([0.0, 1.0]),
+                                     np.array([True, False, True])], ids=["float", "whole", "bool"])
+@pytest.mark.parametrize("role, call", [
+    ("train", lambda corpus, vocab, idx: train(
+        corpus, split_corpus(corpus, 0.8, seed=0), vocab,
+        TrainConfig(epochs=1, hidden_size=4, head_width=2), train_indices=idx)),
+    ("evaluated", lambda corpus, vocab, idx: evaluate(
+        init_params(vocab.dim, 4, 2, seed=0), corpus, idx, vocab)),
+], ids=["train", "evaluate"])
+def test_non_integer_indices_are_refused(synth_vocab, role, call, indices):
+    # Unchecked, numpy fails with an IndexError that names neither the role nor the dtype.
+    corpus, _ = generate_synthetic(12, 20, synth_vocab, seed=5)
+    with pytest.raises(ValueError, match=f"^{role} indices must be integers, got {indices.dtype}$"):
+        call(corpus, synth_vocab, indices)
+
+
+@pytest.mark.parametrize("call", [
+    lambda corpus: TrainConfig(seed=-1),
+    lambda corpus: split_corpus(corpus, 0.8, seed=-1),
+    lambda corpus: sample_untested_pairs(corpus, 1, seed=-1),
+    lambda corpus: generate_synthetic(4, 3, random_table(8, 2), seed=-1),
+    lambda corpus: random_table(8, 2, seed=-1),
+], ids=["TrainConfig", "split_corpus", "sample_untested_pairs", "generate_synthetic",
+        "random_table"])
+def test_negative_seed_is_refused(synth_vocab, call):
+    # Unchecked, numpy refuses it as "expected non-negative integer", naming no parameter.
+    corpus, _ = generate_synthetic(12, 20, synth_vocab, seed=5)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        call(corpus)
 
 
 class TestEvaluate:
