@@ -143,14 +143,6 @@ class Corpus:
         arrays; every id must lie in [0, n_correlates)."""
         return np.minimum(a, b) * self.n_correlates + np.maximum(a, b)
 
-    def __eq__(self, other):
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (self.correlates == other.correlates and self.paper_ids == other.paper_ids
-                and all(np.array_equal(x, y) for x, y in zip(
-                    (self.a, self.b, self.r, self.year, self.paper_code),
-                    (other.a, other.b, other.r, other.year, other.paper_code))))
-
     @property
     def n_findings(self) -> int:
         return len(self.r)

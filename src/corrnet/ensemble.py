@@ -63,7 +63,7 @@ def train_ensemble(corpus: Corpus, split: Split, table: EmbeddingTable,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [config.seed + k for k in range(n_members)]
     members = []
-    with (ProcessPoolExecutor(max_workers=jobs, initializer=_share,
+    with (ProcessPoolExecutor(max_workers=min(jobs, n_members), initializer=_share,
                               initargs=(corpus, split, table, config, bagging))
           if jobs > 1 else nullcontext()) as pool:
         results = (pool.map(_train_shared_member, seeds) if pool else

@@ -424,16 +424,12 @@ def _flat(params: ModelParams) -> np.ndarray:
 
 
 def load_checkpoint(path) -> ModelParams | Ensemble:
-    """Load a save_checkpoint file, checking its format version, that its
-    dims and seeds are integers and its bagging flag boolean, its parameter
-    names, that every weight is floating point, and every shape against its
-    stored dims and, for an ensemble, its member count. A file that numpy
-    cannot read as an archive of arrays fails with its path named.
-
-    Format 1, which earlier versions wrote, stores each weight as its own
-    array (with a leading member axis in an ensemble) and still loads: format
-    2's params is split into those named arrays, and both take the same
-    checks from there."""
+    """Load a save_checkpoint file, checking its format version (2 is the
+    only one read), that its dims and seeds are integers and its bagging flag
+    boolean, and that params is its one other array, floating point, of the
+    shape its dims and, for an ensemble, its member count give, and finite. A
+    file that numpy cannot read as an archive of arrays fails with its path
+    named."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             stored = {k: data[k] for k in data.files}
@@ -442,7 +438,7 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
     version = stored.pop("__format_version", None)
     if version is None or "__dims" not in stored:
         raise ValueError(f"{path}: not a corrnet checkpoint (no format version or dims)")
-    if version.tolist() not in ([1], [2]):
+    if version.tolist() != [2]:
         raise ValueError(f"{path}: unsupported checkpoint version {version.tolist()}")
     dims = stored.pop("__dims")
     if dims.shape != (3,) or dims.dtype.kind not in "iu" or dims.min() < 1:
@@ -456,51 +452,29 @@ def load_checkpoint(path) -> ModelParams | Ensemble:
         bagging = stored.pop("__bagging", None)
         if bagging is None or bagging.shape != () or bagging.dtype.kind != "b":
             raise ValueError(f"{path}: an ensemble needs a boolean __bagging flag")
-    lead = () if seeds is None else seeds.shape
+    if stored.keys() != {"params"}:
+        raise ValueError(f"{path}: missing parameters {sorted({'params'} - stored.keys())}, "
+                         f"unexpected {sorted(stored.keys() - {'params'})}")
+    params, lead = stored["params"], () if seeds is None else seeds.shape
     shapes = _shapes(d, h, m)  # computed, not allocated: the dims are untrusted
-    expected = (f" for d={d}, h={h}, m={m}"
-                + (f" and {lead[0]} member seeds" if lead else ""))
-    if version.tolist() == [2]:
-        stored = _unflat(path, stored, lead, shapes, expected)
-    _check_names(path, stored, shapes.keys())
-    for name, shape in shapes.items():
-        _check_array(path, name, stored[name], lead + shape, expected)
-    weights = {k: v.astype(np.float64, copy=False) for k, v in stored.items()}  # copied below
-    if bad := [k for k, v in weights.items() if not np.isfinite(v).all()]:
-        raise ValueError(f"{path}: non-finite values in parameter {bad[0]}")
+    sizes = [math.prod(shape) for shape in shapes.values()]  # Python ints, never allocated
+    if params.shape != lead + (sum(sizes),):
+        raise ValueError(f"{path}: params has shape {params.shape}, expected "
+                         f"{lead + (sum(sizes),)} for d={d}, h={h}, m={m}"
+                         + (f" and {lead[0]} member seeds" if lead else ""))
+    if params.dtype.kind != "f":  # a complex or boolean cast would lose data silently
+        raise ValueError(f"{path}: params has dtype {params.dtype}, expected floating point")
+    params = params.astype(np.float64, copy=False)  # ModelParams copies each view
+    weights, start = {}, 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        weights[name] = params[..., start:start + size].reshape(lead + shape)
+        if not np.isfinite(weights[name]).all():
+            raise ValueError(f"{path}: non-finite values in parameter {name}")
+        start += size
     if seeds is None:
         return ModelParams(d, h, m, weights)
     return Ensemble([ModelParams(d, h, m, {k: v[i] for k, v in weights.items()})
                      for i in range(len(seeds))], seeds.tolist(), bool(bagging))
-
-
-def _check_names(path, stored: dict, names) -> None:
-    if stored.keys() != names:
-        raise ValueError(f"{path}: missing parameters {sorted(names - stored.keys())}, "
-                         f"unexpected {sorted(stored.keys() - names)}")
-
-
-def _check_array(path, name: str, array: np.ndarray, shape: tuple[int, ...],
-                 expected: str) -> None:
-    if array.shape != shape:
-        raise ValueError(f"{path}: {name} has shape {array.shape}, expected {shape}{expected}")
-    if array.dtype.kind != "f":  # a complex or boolean cast would lose data silently
-        raise ValueError(f"{path}: {name} has dtype {array.dtype}, expected floating point")
-
-
-def _unflat(path, stored: dict, lead: tuple[int, ...], shapes: dict,
-            expected: str) -> dict[str, np.ndarray]:
-    """Format 2's params, checked, as format 1's named arrays: views of its
-    consecutive slices, each reshaped to lead + the weight's shape."""
-    _check_names(path, stored, {"params"})
-    params = stored["params"]
-    sizes = [math.prod(shape) for shape in shapes.values()]  # Python ints, never allocated
-    _check_array(path, "params", params, lead + (sum(sizes),), expected)
-    named, start = {}, 0
-    for (name, shape), size in zip(shapes.items(), sizes):
-        named[name] = params[..., start:start + size].reshape(lead + shape)
-        start += size
-    return named
 
 
 def gradcheck(params: ModelParams, seq_a, seq_b) -> float:

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from corrnet.corpus import Corpus, Finding, load_corpus
 from corrnet.embeddings import load_embeddings, random_table
+from corrnet.neural import Ensemble
 
 
 # One to three byte edits of a file, each at a fraction of its length; a
@@ -28,6 +29,22 @@ def apply_byte_edits(path, edits) -> None:
         else:
             raw.insert(pos, byte)
     path.write_bytes(bytes(raw))
+
+
+def save_format1(model, path) -> None:
+    """Write model in checkpoint format 1, which corrnet no longer reads: the
+    dims and each weight as its own array, with a leading member axis in an
+    ensemble beside its member seeds and bagging flag."""
+    if isinstance(model, Ensemble):
+        first = model.members[0]
+        arrays = {k: np.stack([p.weights[k] for p in model.members]) for k in first.weights}
+        arrays.update(__seeds=np.array(model.member_seeds),
+                      __bagging=np.array(bool(model.bagging)))
+    else:
+        first, arrays = model, dict(model.weights)
+    with open(path, "wb") as fh:
+        np.savez(fh, __format_version=np.array([1]),
+                 __dims=np.array([first.d, first.h, first.m]), **arrays)
 
 
 @pytest.fixture(scope="session")

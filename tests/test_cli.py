@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import linecache
@@ -15,14 +16,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import apply_byte_edits
+from conftest import apply_byte_edits, save_format1
 
 from corrnet import cli, neural, training
 from corrnet import corpus as corpus_mod
 from corrnet import ensemble as ensemble_mod
 from corrnet import infill as infill_mod
 from corrnet.cli import main
-from corrnet.neural import init_params, save_checkpoint
+from corrnet.neural import Ensemble, init_params, save_checkpoint
 
 
 @pytest.fixture
@@ -204,6 +205,22 @@ def test_config_file_invalid_utf8_names_the_line(workdir, capsys):
     assert err == f"error: {cfg}:3: not valid UTF-8\n"
 
 
+def test_config_file_keys_are_flags_of_the_same_type():
+    seen = set()
+
+    def walk(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    walk(sub)
+            elif action.dest in cli.FILE_KEYS:
+                assert action.type is cli.FILE_KEYS[action.dest], action.option_strings
+                seen.add(action.dest)
+
+    walk(cli.build_parser())
+    assert seen == cli.FILE_KEYS.keys()
+
+
 def test_selftest(capsys):
     rc, out, _ = run(capsys, ["selftest"])
     assert rc == 0
@@ -272,6 +289,18 @@ def test_eval_rejects_ensemble_file(workdir, ens_file, capsys):
                               "--checkpoint", ens_file])
     assert rc == 1
     assert f"{ens_file}: this command needs a single model" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "qbc", "infill"])
+def test_format1_checkpoint_is_refused(workdir, capsys, command):
+    tmp_path = workdir[0]
+    ckpt = str(tmp_path / "old.npz")
+    members = [init_params(8, 8, 4, seed=k) for k in range(2)]
+    save_format1(members[0] if command == "eval" else Ensemble(members, [0, 1], True), ckpt)
+    before = set(os.listdir(tmp_path))
+    rc, out, err = run(capsys, command_argv(workdir, command, str(tmp_path / "out"), ckpt))
+    assert (rc, out, err) == (1, "", f"error: {ckpt}: unsupported checkpoint version [1]\n")
+    assert set(os.listdir(tmp_path)) == before
 
 
 def corrupt(path, name, index, value):
@@ -492,8 +521,17 @@ def test_request_too_large_for_the_host_is_an_error(workdir, capsys, monkeypatch
     assert set(os.listdir(tmp_path)) == before
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+def test_diverging_train_is_one_error_line(workdir, capsys):
+    # The forward overflows before the gradient check refuses the step;
+    # numpy's warnings would only repeat the error.
+    out = workdir[0] / "model.npz"
+    rc, stdout, err = run(capsys, command_argv(workdir, "train", str(out))
+                          + ["--learning-rate", "1e308"])
+    assert (rc, stdout, err) == (1, "", "error: non-finite gradient for parameter w_z; "
+                                        "step rejected\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_failing_member_names_its_seed_and_cause(workdir, capsys, jobs):
     tmp_path = workdir[0]

@@ -132,6 +132,35 @@ class TestEstimate:
         assert est.disagreement <= 1.0
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the worker pool with an in-process stand-in that starts no
+    process: it runs the initializer and the mapped tasks here, and records
+    its max_workers, its initargs and every task."""
+    seen = {"max_workers": [], "initargs": [], "tasks": []}
+
+    class Pool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen["max_workers"].append(max_workers)
+            seen["initargs"].append(initargs)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, seeds):
+            seeds = list(seeds)
+            seen["tasks"].extend(seeds)
+            return map(fn, seeds)
+
+    monkeypatch.setattr(ensemble, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(ensemble, "_shared", ())
+    return seen
+
+
 class TestTrainEnsemble:
     def test_distinct_members(self, small_setup, synth_vocab):
         corpus, split = small_setup
@@ -160,35 +189,26 @@ class TestTrainEnsemble:
             for name in a.weights:
                 np.testing.assert_array_equal(a.weights[name], b.weights[name])
 
-    def test_pool_tasks_carry_only_seeds(self, small_setup, synth_vocab, monkeypatch):
-        # An in-process stand-in for the pool: the shared inputs go to the
-        # worker initializer once, and each mapped task is a bare seed.
+    def test_pool_tasks_carry_only_seeds(self, small_setup, synth_vocab, in_process_pool):
+        # The shared inputs go to the worker initializer once, and each
+        # mapped task is a bare seed.
         corpus, split = small_setup
-        tasks = []
-
-        class Pool:
-            def __init__(self, max_workers, initializer, initargs):
-                assert initargs[0] is corpus
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, seeds):
-                tasks.extend(seeds)
-                return map(fn, tasks)
-
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(ensemble, "_shared", ())
         pooled = train_ensemble(corpus, split, synth_vocab, replace(FAST, seed=4), 3, jobs=2)
-        assert tasks == [4, 5, 6]
+        (initargs,) = in_process_pool["initargs"]
+        assert initargs[0] is corpus
+        assert in_process_pool["tasks"] == [4, 5, 6]
         serial = train_ensemble(corpus, split, synth_vocab, replace(FAST, seed=4), 3, jobs=1)
         for a, b in zip(serial.members, pooled.members):
             for name in a.weights:
                 np.testing.assert_array_equal(a.weights[name], b.weights[name])
+
+    def test_pool_starts_no_more_workers_than_members(self, small_setup, synth_vocab,
+                                                      in_process_pool):
+        # The pool forks all its workers on the first submit, so a worker
+        # beyond the member count would only copy the inputs and idle.
+        corpus, split = small_setup
+        train_ensemble(corpus, split, synth_vocab, FAST, 2, jobs=64)
+        assert in_process_pool["max_workers"] == [2]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failing_member_is_named(self, small_setup, synth_vocab, monkeypatch, jobs):

@@ -3,7 +3,6 @@ import os
 import pickle
 import re
 import tempfile
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import apply_byte_edits, byte_edits
+from conftest import apply_byte_edits, byte_edits, save_format1
 from corrnet import neural
 from corrnet.corpus import generate_synthetic
 from corrnet.embeddings import embed_sequence, random_table
@@ -22,9 +21,6 @@ from corrnet.neural import (Ensemble, ModelParams, backward, gradcheck, init_par
                             zero_grads)
 from corrnet.textnorm import MAX_TOKENS
 from corrnet.training import AdamState, TrainConfig, adam_step, evaluate
-
-
-DATA = Path(__file__).parent / "data"
 
 
 def sigmoid(x):
@@ -888,47 +884,26 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
         assert_bitwise_weights(q, p.weights)
 
 
-@pytest.mark.parametrize("fixture", ["format1_model.npz", "format1_ensemble.npz"])
-def test_format1_fixture_loads_its_arrays_and_saves_as_format2(tmp_path, fixture):
-    # The fixtures were written by the format-1 save_checkpoint (d 4, h 3, m 2).
-    with np.load(DATA / fixture) as data:
-        raw = dict(data)
-    assert raw["__format_version"].tolist() == [1]
-    named = {k: v for k, v in raw.items() if not k.startswith("__")}
-
-    def assert_stored(model):
-        if "__seeds" not in raw:
-            assert_bitwise_weights(model, named)
-            return
-        assert (model.member_seeds, model.bagging) == (raw["__seeds"].tolist(),
-                                                       bool(raw["__bagging"]))
-        for k, member in enumerate(model.members):
-            assert_bitwise_weights(member, {n: w[k] for n, w in named.items()})
-
-    model = load_checkpoint(DATA / fixture)
-    assert_stored(model)
-    path = tmp_path / fixture
-    save_checkpoint(model, path)
-    with np.load(path) as data:
-        assert data["__format_version"].tolist() == [2]
-        assert "params" in data.files and "u_c" not in data.files
-    assert_stored(load_checkpoint(path))
+@pytest.mark.parametrize("ensemble", [False, True])
+def test_format1_checkpoint_is_refused(tmp_path, ensemble):
+    members = [init_params(4, 3, 2, seed=k) for k in range(2)]
+    path = tmp_path / "model.npz"
+    save_format1(Ensemble(members, [0, 1], False) if ensemble else members[0], path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported checkpoint "
+                                         r"version \[1\]$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda w: w.update(__format_version=np.array([3])), "unsupported checkpoint version"),
     (lambda w: w.pop("__dims"), "not a corrnet checkpoint"),
-    (lambda w: w.pop("u_c"), r"missing parameters \['u_c'\]"),
-    (lambda w: w.update(extra=np.zeros(3)), r"unexpected \['extra'\]"),
-    (lambda w: w.update(head_w1=np.zeros((3, 7))), "head_w1 has shape"),
-    (lambda w: w.update(__dims=np.array([4, 4, 3])), "w_z has shape"),
 ])
 def test_checkpoint_mismatch_names_file(tmp_path, corrupt, message):
-    # A format-1 file: each weight is its own array.
-    p = init_params(5, 4, 3, seed=13)
-    stored = {"__format_version": np.array([1]), "__dims": np.array([5, 4, 3]), **p.weights}
-    corrupt(stored)
     path = tmp_path / "bad.npz"
+    save_checkpoint(init_params(5, 4, 3, seed=13), path)
+    with np.load(path) as data:
+        stored = dict(data)
+    corrupt(stored)
     np.savez(path, **stored)
     with pytest.raises(ValueError, match=message) as exc:
         load_checkpoint(path)
@@ -951,18 +926,6 @@ def test_checkpoint_with_non_float_weights_names_file(tmp_path, ensemble, cast):
     np.savez(path, **stored)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: params has dtype "
                                          f"{stored['params'].dtype}, expected floating point$"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("fixture", ["format1_model.npz", "format1_ensemble.npz"])
-def test_format1_checkpoint_with_non_float_weights_names_file(tmp_path, fixture):
-    with np.load(DATA / fixture) as data:
-        stored = dict(data)
-    stored["u_c"] = stored["u_c"] + 1j
-    path = tmp_path / fixture
-    np.savez(path, **stored)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: u_c has dtype "
-                                         "complex128, expected floating point$"):
         load_checkpoint(path)
 
 
