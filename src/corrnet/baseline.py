@@ -9,12 +9,15 @@ import numpy as np
 from .corpus import Corpus
 
 
-@dataclass
+@dataclass(slots=True)  # slots: baseline_predict reads several fields per call
 class BaselineModel:
     per_correlate: dict[int, tuple[float, int]]  # id -> (sum of r, count)
     global_mean: float
-    corpus: Corpus
-    train_counts: np.ndarray  # finding index -> occurrences among the training indices
+    # The corpus's, bound here since baseline_predict reads them once per pair.
+    n_correlates: int
+    pair_rows: dict[int, tuple[int, ...]]
+    r: np.ndarray
+    train_counts: list[int]  # finding index -> occurrences among the training indices
     mode: str = "pool"  # "pool": union of findings; "average": mean of the two means
 
 
@@ -26,7 +29,7 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     """
     if mode not in ("pool", "average"):
         raise ValueError("mode must be 'pool' or 'average'")
-    train = np.fromiter(train_indices, dtype=np.int64)
+    train = np.asarray(train_indices)
     n = len(train)
     if not n:
         raise ValueError("train set is empty")
@@ -40,8 +43,9 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     counts = np.bincount(ids)
     seen = np.flatnonzero(counts)
     per_correlate = dict(zip(seen.tolist(), zip(sums[seen].tolist(), counts[seen].tolist())))
-    return BaselineModel(per_correlate, float(np.cumsum(r)[-1]) / n, corpus,
-                         np.bincount(train, minlength=corpus.n_findings), mode)
+    return BaselineModel(per_correlate, float(np.cumsum(r)[-1]) / n, corpus.n_correlates,
+                         corpus.pair_rows, corpus.r,
+                         np.bincount(train, minlength=corpus.n_findings).tolist(), mode)
 
 
 def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
@@ -55,10 +59,10 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     """
     if c_i == c_j:
         raise ValueError(f"pair ({c_i}, {c_j}) pairs correlate id {c_i} with itself")
-    seen_i = model.per_correlate.get(c_i)
-    seen_j = model.per_correlate.get(c_j)
+    per_correlate = model.per_correlate
+    seen_i, seen_j = per_correlate.get(c_i), per_correlate.get(c_j)
     if seen_i is None or seen_j is None:  # an id outside the corpus lands here
-        n = model.corpus.n_correlates
+        n = model.n_correlates
         for c in (c_i, c_j):
             if not 0 <= c < n:
                 raise ValueError(f"correlate id {c} outside [0, {n})")
@@ -72,12 +76,12 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     s_j, c_count_j = seen_j if seen_j is not None else (0.0, 0)
     s_ij, c_ij = 0.0, 0
     if seen_i is not None and seen_j is not None:  # both ids are then in the corpus
-        corpus = model.corpus
+        n = model.n_correlates
         # corpus.pair_keys for one pair, inlined: this runs once per predicted pair.
-        key = c_i * corpus.n_correlates + c_j if c_i < c_j else c_j * corpus.n_correlates + c_i
-        for k in corpus.pair_rows.get(key, ()):
-            times = model.train_counts.item(k)
+        key = c_i * n + c_j if c_i < c_j else c_j * n + c_i
+        for k in model.pair_rows.get(key, ()):
+            times = model.train_counts[k]
             if times:
-                s_ij += times * corpus.r.item(k)
+                s_ij += times * model.r.item(k)
                 c_ij += times
     return (s_i + s_j - s_ij) / (c_count_i + c_count_j - c_ij)

@@ -15,14 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The GRU's stacked kernels and the named weights each one holds, in row order.
-_STACKS = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r")}
+# The arrays the forward reads, each stored once and C-contiguous: the matrices
+# as (fan_in, fan_out) kernels and the GRU's biases as one vector. Each holds
+# the named weights listed, in order, as the transposes of its last-axis
+# blocks, so a named matrix is a (fan_out, fan_in) view of its kernel.
+_STORED = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r"),
+           "u_c": ("u_c",), "head_w1": ("head_w1",), "head_w2": ("head_w2",)}
 
 
 class _Weights(dict):
     """A model's named weights. A name stays bound to its array, since the
-    GRU's are views of the model's stacked kernels: binding it to another
-    array raises, and w[k] -= g, which binds w[k] to itself, is allowed."""
+    matrices are views of the model's kernels and the GRU's biases of b_in:
+    binding it to another array raises, and w[k] -= g, which binds w[k] to
+    itself, is allowed."""
 
     def __setitem__(self, name, value):
         if value is not self.get(name):
@@ -36,18 +41,23 @@ class _Weights(dict):
 
 class ModelParams:
     """A model's dims and float64 weights, copied from weights on
-    construction. The GRU's input kernel [w_z; w_r; w_c], its bias
-    [b_z; b_r; b_c] and the recurrent kernel [u_z; u_r] are stored once, as
-    w_in, b_in and u_zr; the named weights w_z to b_c are row views of them,
-    so an in-place update through either name is seen by both."""
+    construction into the arrays _STORED names: w_in (d, 3h) is
+    [w_z; w_r; w_c].T, u_zr (h, 2h) is [u_z; u_r].T, u_c, head_w1 and head_w2
+    are their weights' transposes, and b_in is [b_z; b_r; b_c]. The named
+    weights are views of them, so an in-place update through either name is
+    seen by both."""
 
     def __init__(self, d: int, h: int, m: int, weights):
         self.d, self.h, self.m = d, h, m
         own = {}
-        for stack, names in _STACKS.items():
-            kernel = np.concatenate([weights[k] for k in names], dtype=np.float64)
-            setattr(self, stack, kernel)
-            own.update((k, kernel[i * h:(i + 1) * h]) for i, k in enumerate(names))
+        for stored, names in _STORED.items():
+            blocks = [weights[k] for k in names]  # each (fan_out, fan_in), or a bias
+            n = len(blocks[0])
+            # A new array in C order, whatever weights holds, so no copy aliases it.
+            array = np.empty(blocks[0].shape[:0:-1] + (len(blocks) * n,))
+            rows = np.concatenate(blocks, out=array.T)  # array.T, the named weights' layout
+            setattr(self, stored, array)
+            own.update((k, rows[i * n:(i + 1) * n]) for i, k in enumerate(names))
         self.weights = _Weights((k, own[k] if k in own else np.array(weights[k], dtype=np.float64))
                                 for k in _shapes(d, h, m))
 
@@ -138,9 +148,9 @@ _BLOCK = 256
 
 # Rows per BLAS call of every product of a row with a weight. Each such product
 # is one np.matmul over (g, _GROUP, K) groups, the last one zero-padded, with
-# the weight's transpose as a view: every call for a weight then has the same
-# shape, so a row gets the same bits at any position and beside any other rows,
-# while a call whose row count varied would change them.
+# the weight's stored (K, N) kernel: every call for a weight then has the same
+# shape and layout, so a row gets the same bits at any position and beside any
+# other rows, while a call whose row count varied would change them.
 _GROUP = 4
 
 
@@ -149,57 +159,59 @@ def _padded(n: int) -> int:
     return -(-n // _GROUP) * _GROUP
 
 
-def _rows(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """m @ a[i] for every row i, shape (len(a), len(m)), in whole groups: each
-    row gets the bits it gets alone in a zero-padded group."""
+def _rows(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """a[i] @ kernel for every row i, shape (len(a), N), given a (K, N) kernel,
+    in whole groups: each row gets the bits it gets alone in a zero-padded
+    group."""
     n, k = a.shape
     if n % _GROUP:
         whole = np.zeros((_padded(n), k))
         whole[:n] = a
         a = whole
-    return np.matmul(a.reshape(-1, _GROUP, k), m.T).reshape(-1, len(m))[:n]
+    return np.matmul(a.reshape(-1, _GROUP, k), kernel).reshape(-1, kernel.shape[1])[:n]
 
 
 def _project(x: np.ndarray, w_in: np.ndarray, b_in: np.ndarray) -> np.ndarray:
-    """Input projections w_in @ x[i] + b_in of every row of x, so a token's
+    """Input projections x[i] @ w_in + b_in of every row of x, so a token's
     projection has the same bits whatever else is in x."""
     return _rows(x, w_in) + b_in
 
 
-def _encode_block(a, lengths, u_zr, u_c, trace: bool = False):
+def _encode_block(a_zr, a_c, lengths, u_zr, u_c, trace: bool = False):
     """Final states (B, h) of up to _BLOCK sequences sorted longest first, given
-    their padded input projections a (L, B, 3h) and lengths (B,); the rows
-    still running at step t are a prefix. Each step's two products run over
-    the whole groups that hold the running rows, into whole-group scratch, and
-    each running row adds its own outputs, so its bits do not depend on the
-    other rows. With trace, returns the block's states hs (L + 1, B, h), gates
-    zrs (L, B, 2h) and candidates cs (L, B, h) instead, zero at every padded
-    step: step t reads each running row's state from hs[t] and adds its gates
-    [z; r], candidate and new state straight into zrs[t], cs[t] and hs[t + 1]."""
+    their padded input projections, split into a_zr (L, B, 2h) for the gates
+    and a_c (L, B, h) for the candidate, their lengths (B,) and the kernels
+    u_zr (h, 2h) and u_c (h, h); the rows still running at step t are a
+    prefix. Each step's two products run over the whole groups that hold the
+    running rows, into whole-group scratch, and each running row adds its own
+    outputs, so its bits do not depend on the other rows. With trace, returns
+    the block's states hs (L + 1, B, h), gates zrs (L, B, 2h) and candidates
+    cs (L, B, h) instead, zero at every padded step: step t reads each running
+    row's state from hs[t] and adds its gates [z; r], candidate and new state
+    straight into zrs[t], cs[t] and hs[t + 1]."""
     n, k = len(u_c), len(lengths)
     size = _padded(k)
-    u_zr_t, u_c_t = u_zr.T, u_c.T
     # A step's products, and r * h and then z * (c - h); a row past the
     # running ones is read by the products and its outputs are never used.
     p_zr, p_c, tmp = np.empty((size, 2 * n)), np.empty((size, n)), np.zeros((size, n))
     # The states, in whole groups: every step (traced), or one state per row
     # updated in place.
-    hs = np.zeros((len(a) + 1 if trace else 1, size, n))
+    hs = np.zeros((len(a_c) + 1 if trace else 1, size, n))
     if trace:
-        zrs, cs = np.zeros((len(a), k, 2 * n)), np.zeros((len(a), k, n))
+        zrs, cs = np.zeros((len(a_c), k, 2 * n)), np.zeros((len(a_c), k, n))
     hs_g, p_zr_g = hs.reshape(len(hs), -1, _GROUP, n), p_zr.reshape(-1, _GROUP, 2 * n)
     p_c_g, tmp_g = p_c.reshape(-1, _GROUP, n), tmp.reshape(-1, _GROUP, n)
     # Bound once: looking a ufunc up on np costs about a third of a step's
     # small ufunc calls.
     matmul, add, subtract, multiply, tanh = np.matmul, np.add, np.subtract, np.multiply, np.tanh
-    for t in range(len(a)):
+    for t in range(len(a_c)):
         if t == 0 or lengths[k - 1] <= t:  # the views that change with k
             while lengths[k - 1] <= t:
                 k -= 1
             if (g := -(-k // _GROUP)) < len(tmp_g):
                 hs_g, p_zr_g, p_c_g, tmp_g = hs_g[:, :g], p_zr_g[:g], p_c_g[:g], tmp_g[:g]
             p_zr_k, p_c_k, tmp_k, hs_k = p_zr[:k], p_c[:k], tmp[:k], hs[:, :k]
-            a_zr, a_c = a[:, :k, :2 * n], a[:, :k, 2 * n:]
+            a_zr_k, a_c_k = a_zr[:, :k], a_c[:, :k]
             if trace:
                 zrs_k, cs_k = zrs[:, :k], cs[:, :k]
                 z_k, r_k, h_next = zrs_k[..., :n], zrs_k[..., n:], hs_k[t]
@@ -209,15 +221,15 @@ def _encode_block(a, lengths, u_zr, u_c, trace: bool = False):
         if trace:  # the state written by the last step is this one's
             h_t, h_next, h_g = h_next, hs_k[t + 1], hs_g[t]
             zr, c, z, r = zrs_k[t], cs_k[t], z_k[t], r_k[t]
-        matmul(h_g, u_zr_t, p_zr_g)
-        add(p_zr_k, a_zr[t], zr)
+        matmul(h_g, u_zr, p_zr_g)
+        add(p_zr_k, a_zr_k[t], zr)
         multiply(zr, 0.5, zr)  # sigmoid(x) = 0.5 * (1 + tanh(0.5 * x))
         tanh(zr, zr)
         add(zr, 1.0, zr)
         multiply(zr, 0.5, zr)
         multiply(r, h_t, tmp_k)
-        matmul(tmp_g, u_c_t, p_c_g)
-        add(p_c_k, a_c[t], c)
+        matmul(tmp_g, u_c, p_c_g)
+        add(p_c_k, a_c_k[t], c)
         tanh(c, c)
         subtract(c, h_t, tmp_k)
         multiply(tmp_k, z, tmp_k)
@@ -276,23 +288,27 @@ def _encode(x, ids, lengths, params: ModelParams) -> np.ndarray:
     """Final hidden states of _token_ids' sequences, shape (len(lengths), h):
     each distinct token is projected once, and each row equals predict_pair's
     final state for that sequence bit for bit."""
-    order = np.argsort(-lengths, kind="stable")
-    a = np.zeros((len(x) + 1, 3 * params.h))  # the last row is the padding id's
+    order, n = np.argsort(-lengths, kind="stable"), params.h
+    a = np.zeros((len(x) + 1, 3 * n))  # the last row is the padding id's
     a[:-1] = _project(x, params.w_in, params.b_in)
-    out = np.empty((len(lengths), params.h))
+    out = np.empty((len(lengths), n))
     for s in range(0, len(order), _BLOCK):
         block = order[s:s + _BLOCK]
-        out[block] = _encode_block(a[ids[:lengths[block[0]], block]], lengths[block].tolist(),
-                                   params.u_zr, params.weights["u_c"])
+        rows = ids[:lengths[block[0]], block]
+        # Each gather is C-contiguous, so a step's adds read whole rows.
+        out[block] = _encode_block(a[:, :2 * n][rows], a[:, 2 * n:][rows],
+                                   lengths[block].tolist(), params.u_zr, params.u_c)
     return out
 
 
-def _score(e_a: np.ndarray, e_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _score(e_a: np.ndarray, e_b: np.ndarray,
+           params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head input, hidden activation and prediction for each row pair of e_a,
     e_b; symmetric in e_a, e_b bit for bit."""
+    w = params.weights
     combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)], axis=1)
-    u1 = np.tanh(_rows(combined, w["head_w1"]) + w["head_b1"])
-    return combined, u1, np.tanh(_rows(u1, w["head_w2"]) + w["head_b2"])[:, 0]
+    u1 = np.tanh(_rows(combined, params.head_w1) + w["head_b1"])
+    return combined, u1, np.tanh(_rows(u1, params.head_w2) + w["head_b2"])[:, 0]
 
 
 def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
@@ -301,7 +317,7 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     and run as one 2-row block of predict's encoder, and are scored by its
     head, so r_hat equals predict's value bit for bit, and both orders give
     bit-identical output."""
-    w, d, n = params.weights, params.d, params.h
+    d, n = params.d, params.h
     len_a, len_b = len(seq_a), len(seq_b)
     try:
         xy = np.asarray([*seq_a, *seq_b], dtype=np.float64)
@@ -316,9 +332,10 @@ def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:
     x[:len_a, rows[0]], x[:len_b, rows[1]] = xy[:len_a], xy[len_a:]
     # A padded step's projection, b_in, is never read.
     a = _project(x.reshape(2 * length, d), params.w_in, params.b_in).reshape(length, 2, 3 * n)
-    hs, zrs, cs = _encode_block(a, [length, min(len_a, len_b)], params.u_zr, w["u_c"], trace=True)
+    hs, zrs, cs = _encode_block(a[..., :2 * n], a[..., 2 * n:], [length, min(len_a, len_b)],
+                                params.u_zr, params.u_c, trace=True)
     e_a, e_b = hs[len_a, rows[0]], hs[len_b, rows[1]]
-    combined, u1, r_hat = _score(e_a[None], e_b[None], w)
+    combined, u1, r_hat = _score(e_a[None], e_b[None], params)
     return ForwardTrace(x[:len_a, rows[0]], x[:len_b, rows[1]], e_a, e_b, combined[0], u1[0],
                         float(r_hat[0]), x, hs, zrs, cs, rows)
 
@@ -340,8 +357,7 @@ def predict(models, seqs, pairs) -> np.ndarray:
     for k, params in enumerate(models):
         enc = _encode(*inputs, params)
         for s in range(0, len(pairs), _BLOCK):
-            out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]],
-                                          params.weights)[2]
+            out[s:s + _BLOCK, k] = _score(enc[ia[s:s + _BLOCK]], enc[ib[s:s + _BLOCK]], params)[2]
     return out
 
 
@@ -383,7 +399,9 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
     The encoder is shared, so both sequences run backward as the forward's
     2-row block, and each encoder gradient is a slice of one product over
     both. The absolute-difference block uses the subgradient
-    sign(e_a - e_b), with sign(0) = 0.
+    sign(e_a - e_b), with sign(0) = 0. It reads the recurrent kernels as
+    (fan_out, fan_in) views and returns C-contiguous gradients, so train's
+    per-finding sums add contiguous arrays.
     """
     w, h = params.weights, params.h
     da2 = upstream * (1.0 - trace.r_hat ** 2)
@@ -394,7 +412,7 @@ def backward(trace: ForwardTrace, upstream: float, params: ModelParams) -> dict[
     d_final[trace.rows[0]] = d_combined[:h] + d_combined[h:] * sign
     d_final[trace.rows[1]] = d_combined[:h] - d_combined[h:] * sign
     d_in, d_zr, d_uc, db = _block_backward(trace.x, trace.hs, trace.zrs, trace.cs, d_final,
-                                           params.u_zr, w["u_c"])
+                                           params.u_zr.T, w["u_c"])
     return {"w_z": d_in[:h], "u_z": d_zr[:h], "w_r": d_in[h:2 * h], "u_r": d_zr[h:],
             "w_c": d_in[2 * h:], "u_c": d_uc,
             "head_w1": da1[:, None] * trace.combined, "head_w2": (da2 * trace.u1)[None],
@@ -500,14 +518,15 @@ def gradcheck(params: ModelParams, seq_a, seq_b) -> float:
 
 def group_rows_bitwise(d: int, h: int, m: int) -> bool:
     """Whether this host's BLAS keeps the fact the forward rests on for a
-    (d, h, m) model: each row of every product the model makes, in a call of
-    three groups beside random rows, has the bits it has alone in a padded
-    group; and predict equals predict_pair on a few random pairs."""
+    (d, h, m) model: each row of every product the model makes, by a
+    C-contiguous (K, N) kernel as the model stores it and in a call of three
+    groups beside random rows, has the bits it has alone in a padded group;
+    and predict equals predict_pair on a few random pairs."""
     rng = np.random.default_rng(0)
     for k, n in ((d, 3 * h), (h, 2 * h), (h, h), (2 * h, m), (m, 1)):
-        w, x = rng.standard_normal((n, k)), rng.standard_normal((3 * _GROUP - 1, k))
-        rows = _rows(x, w)
-        if any(rows[i].tobytes() != _rows(x[i:i + 1], w).tobytes() for i in range(len(x))):
+        kernel, x = rng.standard_normal((k, n)), rng.standard_normal((3 * _GROUP - 1, k))
+        rows = _rows(x, kernel)
+        if any(rows[i].tobytes() != _rows(x[i:i + 1], kernel).tobytes() for i in range(len(x))):
             return False
     params = init_params(d, h, m)
     seqs = [list(rng.standard_normal((int(rng.integers(1, 9)), d))) for _ in range(6)]

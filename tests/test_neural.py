@@ -59,21 +59,25 @@ class TestInit:
             init_params(0, 3, 2)
 
 
-STACKS = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r")}
+STACKS = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r"),
+          "u_c": ("u_c",), "head_w1": ("head_w1",), "head_w2": ("head_w2",)}
 
 
 def assert_stacked(p):
-    """Each of p's GRU weights is its own row block of one stacked kernel."""
+    """Each of p's named weights is the transpose of its own column block of
+    one C-contiguous stored array: a matrix of a (fan_in, fan_out) kernel, a
+    GRU bias of b_in."""
     for stack, names in STACKS.items():
         kernel = getattr(p, stack)
         assert kernel.dtype == np.float64 and kernel.flags.c_contiguous
         start = 0
         for name in names:
-            w, block = p.weights[name], kernel[start:start + len(p.weights[name])]
+            w = p.weights[name]
+            block = kernel[..., start:start + w.shape[0]].T
             assert (w.shape, w.strides, w.ctypes.data) == (block.shape, block.strides,
                                                            block.ctypes.data), name
-            start += len(w)
-        assert start == len(kernel)
+            start += w.shape[0]
+        assert start == kernel.shape[-1]
 
 
 def spec_order_draws(d, h, m, seed):
@@ -213,12 +217,12 @@ class TestEncode:
 
 def product(w, v):
     """w @ v as neural computes every product of a row with a weight: v alone
-    in a zero-padded group of neural._GROUP rows, times a view of w's
-    transpose. (On OpenBLAS a contiguous copy of the transpose gives other
-    bits, as does a call of another row count.)"""
+    in a zero-padded group of neural._GROUP rows, times a C-contiguous copy of
+    w's transpose, the (K, N) kernel neural stores. (On OpenBLAS a view of the
+    transpose gives other bits, as does a call of another row count.)"""
     group = np.zeros((1, neural._GROUP, len(v)))
     group[0, 0] = v
-    return np.matmul(group, w.T)[0, 0]
+    return np.matmul(group, w.T.copy())[0, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,24 +247,26 @@ def test_a_rows_product_bits_do_not_depend_on_its_group(k, n, groups, seed):
     # this fails on some host, predict and predict_pair can disagree there.
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((n, k))
+    kernel = w.T.copy()
     rows = rng.standard_normal((groups, neural._GROUP, k))
-    got = np.matmul(rows, w.T)
+    got = np.matmul(rows, kernel)
     for g in range(groups):
         for i in range(neural._GROUP):
             assert got[g, i].tobytes() == product(w, rows[g, i]).tobytes(), (g, i)
     # _rows pads any number of rows to whole groups, and takes none.
-    assert neural._rows(np.empty((0, k)), w).shape == (0, n)
+    assert neural._rows(np.empty((0, k)), kernel).shape == (0, n)
     x = rows.reshape(-1, k)[:int(rng.integers(1, groups * neural._GROUP + 1))]
-    got = neural._rows(x, w)
+    got = neural._rows(x, kernel)
     assert got.shape == (len(x), n)
     for i, row in enumerate(x):
         assert got[i].tobytes() == product(w, row).tobytes(), i
 
 
-def test_every_forward_product_takes_whole_groups(monkeypatch):
-    # Each np.matmul that predict, predict_pair, _score and _project make
-    # gets its rows as (g, _GROUP, K) groups: one call shape per weight.
-    shapes = {}
+def forward_matmuls(monkeypatch):
+    """The models, and each np.matmul that predict, predict_pair, _score and
+    _project make on them, as (shape of the rows operand, weight operand)
+    lists by caller."""
+    calls = {}
 
     class Spy:
         caller = None
@@ -268,9 +274,9 @@ def test_every_forward_product_takes_whole_groups(monkeypatch):
         def __getattr__(self, name):
             return getattr(np, name)
 
-        def matmul(self, a, *args, **kwargs):
-            shapes.setdefault(self.caller, []).append(np.shape(a))
-            return np.matmul(a, *args, **kwargs)
+        def matmul(self, a, b, *args, **kwargs):
+            calls.setdefault(self.caller, []).append((np.shape(a), b))
+            return np.matmul(a, b, *args, **kwargs)
 
     spy = Spy()
     monkeypatch.setattr(neural, "np", spy)
@@ -282,14 +288,31 @@ def test_every_forward_product_takes_whole_groups(monkeypatch):
     for caller, run in [
             ("predict_pair", lambda: predict_pair(seqs[0], seqs[1], models[0])),
             ("predict", lambda: predict(models, seqs, pairs)),
-            ("_score", lambda: neural._score(e[0], e[1], models[0].weights)),
+            ("_score", lambda: neural._score(e[0], e[1], models[0])),
             ("_project", lambda: neural._project(rng.standard_normal((5, 5)), models[0].w_in,
                                                  models[0].b_in))]:
         spy.caller = caller
         run()
-    assert shapes.keys() == {"predict_pair", "predict", "_score", "_project"}
-    for caller, seen in shapes.items():
-        assert all(len(s) == 3 and s[-2] == neural._GROUP for s in seen), (caller, seen)
+    assert calls.keys() == {"predict_pair", "predict", "_score", "_project"}
+    return models, calls
+
+
+def test_every_forward_product_takes_whole_groups(monkeypatch):
+    # Each np.matmul of the forward gets its rows as (g, _GROUP, K) groups:
+    # one call shape per weight.
+    for caller, seen in forward_matmuls(monkeypatch)[1].items():
+        assert all(len(s) == 3 and s[-2] == neural._GROUP for s, _ in seen), (caller, seen)
+
+
+def test_every_forward_product_takes_a_stored_kernel(monkeypatch):
+    # Each np.matmul of the forward multiplies by a model's own (K, N)
+    # kernel, C-contiguous: never a transposed view or a per-call copy.
+    models, calls = forward_matmuls(monkeypatch)
+    for caller, seen in calls.items():
+        for shape, w in seen:
+            assert w.flags.c_contiguous and w.shape[0] == shape[-1], (caller, shape, w.shape)
+            assert any(w is getattr(p, k) for p in models
+                       for k in ("w_in", "u_zr", "u_c", "head_w1", "head_w2")), (caller, w.shape)
 
 
 def reference_gru(seq, w):
@@ -371,11 +394,12 @@ def test_traced_block_equals_per_step_reference_bitwise(seed, d, h, len_a, len_b
     a = np.full((lengths[0], 2, 3 * h), np.nan)
     for i, length in enumerate(lengths):
         a[:length, i] = neural._project(rng.standard_normal((length, d)), p.w_in, p.b_in)
-    hs, zrs, cs = neural._encode_block(a, lengths, p.u_zr, p.weights["u_c"], trace=True)
+    a_zr, a_c = a[..., :2 * h].copy(), a[..., 2 * h:].copy()
+    hs, zrs, cs = neural._encode_block(a_zr, a_c, lengths, p.u_zr, p.u_c, trace=True)
     for got, want in zip((hs, zrs, cs), reference_traced_block(a, lengths, p.weights)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # The untraced block runs the same steps into its own state.
-    final = neural._encode_block(a, lengths, p.u_zr, p.weights["u_c"])
+    final = neural._encode_block(a_zr, a_c, lengths, p.u_zr, p.u_c)
     for i, length in enumerate(lengths):
         assert final[i].tobytes() == hs[length, i].tobytes()
 

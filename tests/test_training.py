@@ -211,14 +211,16 @@ def test_index_outside_corpus_is_refused(synth_vocab, role, call, bad):
 @pytest.mark.parametrize("indices", [np.array([0.5, 1.5, 2.5]), np.array([0.0, 1.0]),
                                      np.array([True, False, True])], ids=["float", "whole", "bool"])
 @pytest.mark.parametrize("role, call", [
+    ("train", lambda corpus, vocab, idx: fit_baseline(corpus, idx)),
     ("train", lambda corpus, vocab, idx: train(
         corpus, split_corpus(corpus, 0.8, seed=0), vocab,
         TrainConfig(epochs=1, hidden_size=4, head_width=2), train_indices=idx)),
     ("evaluated", lambda corpus, vocab, idx: evaluate(
         init_params(vocab.dim, 4, 2, seed=0), corpus, idx, vocab)),
-], ids=["train", "evaluate"])
+], ids=["fit_baseline", "train", "evaluate"])
 def test_non_integer_indices_are_refused(synth_vocab, role, call, indices):
-    # Unchecked, numpy fails with an IndexError that names neither the role nor the dtype.
+    # Unchecked, numpy fails with an IndexError that names neither the role nor
+    # the dtype, or, in fit_baseline, truncates each index to a finding.
     corpus, _ = generate_synthetic(12, 20, synth_vocab, seed=5)
     with pytest.raises(ValueError, match=f"^{role} indices must be integers, got {indices.dtype}$"):
         call(corpus, synth_vocab, indices)
