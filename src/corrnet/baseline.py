@@ -29,11 +29,10 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     """
     if mode not in ("pool", "average"):
         raise ValueError("mode must be 'pool' or 'average'")
-    train = np.asarray(train_indices)
+    train = corpus.check_indices(train_indices, "train")
     n = len(train)
     if not n:
         raise ValueError("train set is empty")
-    corpus.check_indices(train, "train")
     ids = np.empty(2 * n, dtype=np.int64)  # a0, b0, a1, b1, ...
     ids[0::2] = corpus.a[train]
     ids[1::2] = corpus.b[train]

@@ -130,7 +130,7 @@ def cmd_eval(args) -> int:
 def cmd_baseline(args) -> int:
     corpus, split = _load_split(args, min_test=2)
     model = baseline_mod.fit_baseline(corpus, split.train_indices, mode=args.mode)
-    rows = list(split.test_indices)
+    rows = split.test_indices
     preds = [baseline_mod.baseline_predict(model, a, b)
              for a, b in zip(corpus.a[rows].tolist(), corpus.b[rows].tolist())]
     actual = corpus.r[rows].tolist()

@@ -147,23 +147,26 @@ class Corpus:
     def n_findings(self) -> int:
         return len(self.r)
 
-    def check_indices(self, indices, role: str) -> None:
-        """Refuse finding indices that are not integers, or outside
-        [0, n_findings), naming the first by its role; numpy would wrap a
-        negative one to a finding silently."""
+    def check_indices(self, indices, role: str) -> np.ndarray:
+        """The indices as an int64 array, refusing input that is not 1-D, not
+        integers or outside [0, n_findings), naming the role; numpy would wrap
+        a negative index silently. Empty input gives an empty array."""
         idx = np.asarray(indices)
-        if idx.dtype.kind not in "iu":
+        if idx.ndim != 1:
+            raise ValueError(f"{role} indices must be a 1-D sequence, got shape {idx.shape}")
+        if len(idx) and idx.dtype.kind not in "iu":  # np.asarray([]) reads as float64
             raise ValueError(f"{role} indices must be integers, got {idx.dtype}")
         bad = idx[(idx < 0) | (idx >= self.n_findings)]
         if len(bad):
             raise ValueError(f"{role} index {bad[0]} outside the corpus's "
                              f"{self.n_findings} findings")
+        return idx.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value, so splits compare by identity
 class Split:
-    train_indices: tuple[int, ...]
-    test_indices: tuple[int, ...]
+    train_indices: np.ndarray  # sorted, read-only int64 finding indices
+    test_indices: np.ndarray
     seed: int
 
 
@@ -269,10 +272,10 @@ def split_corpus(corpus: Corpus, train_fraction: float = 0.8, seed: int = 0) -> 
     if not 0 < n_train < n:
         raise ValueError(f"train_fraction = {train_fraction} splits {n} findings into "
                          f"{n_train} train and {n - n_train} test; neither side may be empty")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    return Split(tuple(np.sort(order[:n_train]).tolist()),
-                 tuple(np.sort(order[n_train:]).tolist()), seed)
+    order = np.random.default_rng(seed).permutation(n)
+    train, test = np.sort(order[:n_train]), np.sort(order[n_train:])
+    train.flags.writeable = test.flags.writeable = False
+    return Split(train, test, seed)
 
 
 def corpus_stats(corpus: Corpus) -> dict:

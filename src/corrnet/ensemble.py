@@ -27,10 +27,10 @@ class EnsembleEstimate:
 
 def _train_member(seed, corpus, split, table, config, bagging):
     member_config = replace(config, seed=seed)
-    indices = list(split.train_indices)
+    indices = split.train_indices
     if bagging:
         rng = np.random.default_rng(seed)
-        indices = [indices[i] for i in rng.integers(0, len(indices), size=len(indices))]
+        indices = indices[rng.integers(0, len(indices), size=len(indices))]
     params, _ = train(corpus, split, table, member_config, train_indices=indices)
     return params
 

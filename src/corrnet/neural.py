@@ -16,18 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 # The arrays the forward reads, each stored once and C-contiguous: the matrices
-# as (fan_in, fan_out) kernels and the GRU's biases as one vector. Each holds
-# the named weights listed, in order, as the transposes of its last-axis
-# blocks, so a named matrix is a (fan_out, fan_in) view of its kernel.
+# as (fan_in, fan_out) kernels and the biases as vectors. Each holds the named
+# weights listed, in order, as the transposes of its last-axis blocks, so a
+# named matrix is a (fan_out, fan_in) view of its kernel.
 _STORED = {"w_in": ("w_z", "w_r", "w_c"), "b_in": ("b_z", "b_r", "b_c"), "u_zr": ("u_z", "u_r"),
-           "u_c": ("u_c",), "head_w1": ("head_w1",), "head_w2": ("head_w2",)}
+           "u_c": ("u_c",), "head_w1": ("head_w1",), "head_w2": ("head_w2",),
+           "head_b1": ("head_b1",), "head_b2": ("head_b2",)}
 
 
 class _Weights(dict):
-    """A model's named weights. A name stays bound to its array, since the
-    matrices are views of the model's kernels and the GRU's biases of b_in:
-    binding it to another array raises, and w[k] -= g, which binds w[k] to
-    itself, is allowed."""
+    """A model's named weights. A name stays bound to its array, since every
+    named weight is a view of the model's stored arrays: binding it to
+    another array raises, and w[k] -= g, which binds w[k] to itself, is
+    allowed."""
 
     def __setitem__(self, name, value):
         if value is not self.get(name):
@@ -43,9 +44,9 @@ class ModelParams:
     """A model's dims and float64 weights, copied from weights on
     construction into the arrays _STORED names: w_in (d, 3h) is
     [w_z; w_r; w_c].T, u_zr (h, 2h) is [u_z; u_r].T, u_c, head_w1 and head_w2
-    are their weights' transposes, and b_in is [b_z; b_r; b_c]. The named
-    weights are views of them, so an in-place update through either name is
-    seen by both."""
+    are their weights' transposes, b_in is [b_z; b_r; b_c], and head_b1 and
+    head_b2 are copies of their own. Every named weight is a view of them, so
+    an in-place update through either name is seen by both."""
 
     def __init__(self, d: int, h: int, m: int, weights):
         self.d, self.h, self.m = d, h, m
@@ -58,8 +59,7 @@ class ModelParams:
             rows = np.concatenate(blocks, out=array.T)  # array.T, the named weights' layout
             setattr(self, stored, array)
             own.update((k, rows[i * n:(i + 1) * n]) for i, k in enumerate(names))
-        self.weights = _Weights((k, own[k] if k in own else np.array(weights[k], dtype=np.float64))
-                                for k in _shapes(d, h, m))
+        self.weights = _Weights((k, own[k]) for k in _shapes(d, h, m))
 
     def __reduce__(self):
         return ModelParams, (self.d, self.h, self.m, dict(self.weights))
@@ -305,10 +305,9 @@ def _score(e_a: np.ndarray, e_b: np.ndarray,
            params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Head input, hidden activation and prediction for each row pair of e_a,
     e_b; symmetric in e_a, e_b bit for bit."""
-    w = params.weights
     combined = np.concatenate([e_a + e_b, np.abs(e_a - e_b)], axis=1)
-    u1 = np.tanh(_rows(combined, params.head_w1) + w["head_b1"])
-    return combined, u1, np.tanh(_rows(u1, params.head_w2) + w["head_b2"])[:, 0]
+    u1 = np.tanh(_rows(combined, params.head_w1) + params.head_b1)
+    return combined, u1, np.tanh(_rows(u1, params.head_w2) + params.head_b2)[:, 0]
 
 
 def predict_pair(seq_a, seq_b, params: ModelParams) -> ForwardTrace:

@@ -96,8 +96,8 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray],
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1 ** state.t)
         v_hat = state.v[name] / (1 - b2 ** state.t)
-        w = params.weights[name]
-        w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        w = params.weights[name].T  # the stored kernel's own order, so the write is contiguous
+        w -= (config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)).T
 
 
 def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable) -> dict[int, list[np.ndarray]]:
@@ -107,15 +107,14 @@ def embed_pairs(corpus: Corpus, pairs, table: EmbeddingTable) -> dict[int, list[
     return {cid: embed_sequence(corpus.correlates[cid].tokens, table) for cid in cids}
 
 
-def _finding_pairs(corpus: Corpus, indices) -> np.ndarray:
-    rows = list(indices)
-    return np.column_stack((corpus.a[rows], corpus.b[rows]))
+def _finding_pairs(corpus: Corpus, indices: np.ndarray) -> np.ndarray:
+    return np.column_stack((corpus.a[indices], corpus.b[indices]))
 
 
 def _mean_loss(params, corpus, indices, seqs) -> float:
     r_hats = predict([params], seqs, _finding_pairs(corpus, indices))[:, 0]
     total = 0.0
-    for r, r_hat in zip(corpus.r[list(indices)].tolist(), r_hats.tolist()):
+    for r, r_hat in zip(corpus.r[indices].tolist(), r_hats.tolist()):
         total += mse_loss(r_hat, r)
     return total / len(indices)
 
@@ -130,10 +129,10 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
     best validation epoch. With val_fraction = 0 no early stopping happens
     and the logged validation loss equals the training loss.
     """
-    indices = list(train_indices if train_indices is not None else split.train_indices)
-    if not indices:
-        raise ValueError("empty train set")
-    corpus.check_indices(indices, "train")
+    indices = corpus.check_indices(
+        split.train_indices if train_indices is None else train_indices, "train")
+    if not len(indices):
+        raise ValueError("train set is empty")
     rng = np.random.default_rng(config.seed)
 
     n_val = int(round(config.val_fraction * len(indices)))
@@ -142,8 +141,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
     else:
         n_val = 0
     perm = rng.permutation(len(indices))
-    val_idx = [indices[i] for i in perm[:n_val]]
-    fit_idx = [indices[i] for i in perm[n_val:]]
+    val_idx, fit_idx = indices[perm[:n_val]], indices[perm[n_val:]]
 
     seqs = embed_pairs(corpus, _finding_pairs(corpus, indices), table)
     params = init_params(table.dim, config.hidden_size, config.head_width, config.seed)
@@ -161,7 +159,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
             order = epoch_rng.permutation(len(fit_idx))
             epoch_loss = 0.0
             for start in range(0, len(order), config.batch_size):
-                batch = [fit_idx[j] for j in order[start:start + config.batch_size]]
+                batch = fit_idx[order[start:start + config.batch_size]]
                 grads = zero_grads(params)
                 for a, b, r in zip(corpus.a[batch].tolist(), corpus.b[batch].tolist(),
                                    corpus.r[batch].tolist()):
@@ -173,7 +171,7 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
                 adam_step(params, grads, state, config)
             params.assert_finite()
             train_loss = epoch_loss / len(fit_idx)
-            val_loss = _mean_loss(params, corpus, val_idx, seqs) if val_idx else train_loss
+            val_loss = _mean_loss(params, corpus, val_idx, seqs) if len(val_idx) else train_loss
             report.train_losses.append(train_loss)
             report.val_losses.append(val_loss)
             if val_loss < best_val:
@@ -183,17 +181,17 @@ def train(corpus: Corpus, split: Split, table: EmbeddingTable,
                 stale = 0
             else:
                 stale += 1
-                if val_idx and stale > config.early_stop_patience:
+                if len(val_idx) and stale > config.early_stop_patience:
                     break
     return best_params, report
 
 
 def evaluate(params: ModelParams, corpus: Corpus, indices, table: EmbeddingTable) -> dict:
     """Predict each listed finding and correlate predictions with reports."""
+    indices = corpus.check_indices(indices, "evaluated")
     if len(indices) < 2:  # pearson needs two of each
         raise ValueError(f"evaluate needs at least 2 finding indices, got {len(indices)}")
-    corpus.check_indices(indices, "evaluated")
     pairs = _finding_pairs(corpus, indices)
     r_hats = predict([params], embed_pairs(corpus, pairs, table), pairs)[:, 0].tolist()
-    r_vals = corpus.r[list(indices)].tolist()
+    r_vals = corpus.r[indices].tolist()
     return {"pearson_r": pearson(r_vals, r_hats), "predictions": list(zip(r_vals, r_hats))}

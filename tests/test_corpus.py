@@ -483,8 +483,17 @@ class TestSplit:
         assert len(split.train_indices) == 3  # 2.5 rounds up
 
     def test_determinism(self, demo_corpus):
-        assert split_corpus(demo_corpus, 0.8, seed=3) == split_corpus(demo_corpus, 0.8, seed=3)
-        assert split_corpus(demo_corpus, 0.8, seed=3) != split_corpus(demo_corpus, 0.8, seed=4)
+        split, again = split_corpus(demo_corpus, 0.8, seed=3), split_corpus(demo_corpus, 0.8, seed=3)
+        assert np.array_equal(split.train_indices, again.train_indices)
+        assert np.array_equal(split.test_indices, again.test_indices)
+        other = split_corpus(demo_corpus, 0.8, seed=4)
+        assert not np.array_equal(split.train_indices, other.train_indices)
+        assert not np.array_equal(split.test_indices, other.test_indices)
+
+    def test_indices_are_read_only(self, demo_corpus):
+        split = split_corpus(demo_corpus, 0.8, seed=3)
+        with pytest.raises(ValueError, match="read-only"):
+            split.train_indices[0] = split.test_indices[0]
 
     def test_bad_fraction(self, demo_corpus):
         for frac in (0.0, 1.0, -0.5, 2.0):
@@ -512,9 +521,10 @@ class TestSplit:
         order = np.random.default_rng(seed).permutation(n)
         split = split_corpus(corpus, frac, seed)
         # The expression split_corpus used before it sorted with np.sort.
-        assert split.train_indices == tuple(sorted(order[:n_train].tolist()))
-        assert split.test_indices == tuple(sorted(order[n_train:].tolist()))
-        assert all(type(i) is int for i in split.train_indices + split.test_indices)
+        assert split.train_indices.tolist() == sorted(order[:n_train].tolist())
+        assert split.test_indices.tolist() == sorted(order[n_train:].tolist())
+        for indices in (split.train_indices, split.test_indices):
+            assert indices.dtype == np.int64 and not indices.flags.writeable
 
     def test_corpus_scale_arithmetic(self):
         # 80% of the 170k-scale corpus, round-half-up.

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,24 @@ def test_non_integer_indices_are_refused(synth_vocab, role, call, indices):
     # the dtype, or, in fit_baseline, truncates each index to a finding.
     corpus, _ = generate_synthetic(12, 20, synth_vocab, seed=5)
     with pytest.raises(ValueError, match=f"^{role} indices must be integers, got {indices.dtype}$"):
+        call(corpus, synth_vocab, indices)
+
+
+@pytest.mark.parametrize("indices", [np.arange(6).reshape(3, 2), np.array(3)], ids=["2-D", "0-d"])
+@pytest.mark.parametrize("role, call", [
+    ("train", lambda corpus, vocab, idx: fit_baseline(corpus, idx)),
+    ("train", lambda corpus, vocab, idx: train(
+        corpus, split_corpus(corpus, 0.8, seed=0), vocab,
+        TrainConfig(epochs=1, hidden_size=4, head_width=2), train_indices=idx)),
+    ("evaluated", lambda corpus, vocab, idx: evaluate(
+        init_params(vocab.dim, 4, 2, seed=0), corpus, idx, vocab)),
+], ids=["fit_baseline", "train", "evaluate"])
+def test_indices_that_are_not_1d_are_refused(synth_vocab, role, call, indices):
+    # Unchecked, a 2-D array fails deep in numpy (a TypeError, a reshape or a
+    # broadcast error) and a 0-d one in len() or list(), naming no role.
+    corpus, _ = generate_synthetic(12, 20, synth_vocab, seed=5)
+    message = f"{role} indices must be a 1-D sequence, got shape {indices.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(corpus, synth_vocab, indices)
 
 
