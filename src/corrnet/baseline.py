@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,10 +12,10 @@ from .corpus import Corpus
 
 @dataclass(slots=True)  # slots: baseline_predict reads several fields per call
 class BaselineModel:
-    per_correlate: dict[int, tuple[float, int]]  # id -> (sum of r, count)
+    sums: list[float]  # correlate id -> sum of r over its training findings
+    counts: list[int]  # correlate id -> number of its training findings
     global_mean: float
     # The corpus's, bound here since baseline_predict reads them once per pair.
-    n_correlates: int
     pair_rows: dict[int, tuple[int, ...]]
     r: np.ndarray
     train_counts: list[int]  # finding index -> occurrences among the training indices
@@ -38,11 +39,9 @@ def fit_baseline(corpus: Corpus, train_indices, mode: str = "pool") -> BaselineM
     ids[1::2] = corpus.b[train]
     r = corpus.r[train]
     # bincount and cumsum add in array order, so both match the sequential sums.
-    sums = np.bincount(ids, weights=np.repeat(r, 2))
-    counts = np.bincount(ids)
-    seen = np.flatnonzero(counts)
-    per_correlate = dict(zip(seen.tolist(), zip(sums[seen].tolist(), counts[seen].tolist())))
-    return BaselineModel(per_correlate, float(np.cumsum(r)[-1]) / n, corpus.n_correlates,
+    sums = np.bincount(ids, weights=np.repeat(r, 2), minlength=corpus.n_correlates)
+    counts = np.bincount(ids, minlength=corpus.n_correlates)
+    return BaselineModel(sums.tolist(), counts.tolist(), float(np.cumsum(r)[-1]) / n,
                          corpus.pair_rows, corpus.r,
                          np.bincount(train, minlength=corpus.n_findings).tolist(), mode)
 
@@ -53,34 +52,39 @@ def baseline_predict(model: BaselineModel, c_i: int, c_j: int) -> float:
     Findings that contain both correlates (i.e. report this very pair) are
     counted once. Pairs with no training coverage fall back to the global
     training mean. The "average" mode instead averages the two correlates'
-    individual means. A self-pair and a correlate id outside
-    [0, n_correlates) are refused.
+    individual means. A self-pair, a correlate id that is not an integer and
+    one outside [0, n_correlates) are refused.
     """
     if c_i == c_j:
         raise ValueError(f"pair ({c_i}, {c_j}) pairs correlate id {c_i} with itself")
-    per_correlate = model.per_correlate
-    seen_i, seen_j = per_correlate.get(c_i), per_correlate.get(c_j)
-    if seen_i is None or seen_j is None:  # an id outside the corpus lands here
-        n = model.n_correlates
+    counts = model.counts
+    try:  # the list index checks both ids
+        if c_i < 0 or c_j < 0:  # a list would wrap a negative id
+            raise IndexError
+        n_i, n_j = counts[c_i], counts[c_j]
+    except (IndexError, TypeError):
         for c in (c_i, c_j):
-            if not 0 <= c < n:
-                raise ValueError(f"correlate id {c} outside [0, {n})")
-        if seen_i is None and seen_j is None:
-            return model.global_mean
+            try:
+                c = operator.index(c)
+            except TypeError:
+                raise ValueError(f"correlate id {c} is not an integer") from None
+            if not 0 <= c < len(counts):
+                raise ValueError(f"correlate id {c} outside [0, {len(counts)})") from None
+    if not n_i and not n_j:
+        return model.global_mean
+    s_i, s_j = model.sums[c_i], model.sums[c_j]
     if model.mode == "average":
-        means = [s / c for entry in (seen_i, seen_j) if entry is not None
-                 for s, c in [entry]]
-        return sum(means) / len(means)
-    s_i, c_count_i = seen_i if seen_i is not None else (0.0, 0)
-    s_j, c_count_j = seen_j if seen_j is not None else (0.0, 0)
-    s_ij, c_ij = 0.0, 0
-    if seen_i is not None and seen_j is not None:  # both ids are then in the corpus
-        n = model.n_correlates
+        if n_i and n_j:
+            return (s_i / n_i + s_j / n_j) / 2
+        return (s_i + s_j) / (n_i + n_j)
+    s_ij, n_ij = 0.0, 0
+    if n_i and n_j:
+        n = len(counts)
         # corpus.pair_keys for one pair, inlined: this runs once per predicted pair.
         key = c_i * n + c_j if c_i < c_j else c_j * n + c_i
         for k in model.pair_rows.get(key, ()):
             times = model.train_counts[k]
             if times:
                 s_ij += times * model.r.item(k)
-                c_ij += times
-    return (s_i + s_j - s_ij) / (c_count_i + c_count_j - c_ij)
+                n_ij += times
+    return (s_i + s_j - s_ij) / (n_i + n_j - n_ij)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,8 @@ def brute_force_predict(corpus, train_indices, c_i, c_j, global_mean):
 def test_fit_accumulates():
     corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4)])
     model = fit_baseline(corpus, [0, 1])
-    assert model.per_correlate[0] == pytest.approx((0.6, 2))
-    assert model.per_correlate[1] == pytest.approx((0.2, 1))
+    assert (model.sums[0], model.counts[0]) == pytest.approx((0.6, 2))
+    assert (model.sums[1], model.counts[1]) == pytest.approx((0.2, 1))
     assert model.global_mean == pytest.approx(0.3)
 
 
@@ -41,8 +43,8 @@ def test_single_finding_means():
 def test_unseen_correlate_absent():
     corpus = make_corpus([(0, 1, 0.2), (2, 3, 0.4)])
     model = fit_baseline(corpus, [0])
-    assert 2 not in model.per_correlate
-    assert 3 not in model.per_correlate
+    assert model.counts[2] == 0 and model.sums[2] == 0.0
+    assert model.counts[3] == 0 and model.sums[3] == 0.0
 
 
 def test_union_example():
@@ -59,7 +61,8 @@ def test_unseen_pair_falls_back_to_global_mean():
 
 
 @pytest.mark.parametrize("mode", ["pool", "average"])
-@pytest.mark.parametrize("c_i, c_j, bad", [(0, 10**6, 10**6), (-1, 3, -1), (2, 4, 4)])
+@pytest.mark.parametrize("c_i, c_j, bad", [(0, 10**6, 10**6), (-1, 3, -1), (2, 4, 4),
+                                           (-4, 1, -4)])
 def test_correlate_id_outside_corpus_is_refused(mode, c_i, c_j, bad):
     # Unchecked, an unknown id reads as a correlate without training findings.
     corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4), (1, 3, 0.6)])
@@ -67,6 +70,25 @@ def test_correlate_id_outside_corpus_is_refused(mode, c_i, c_j, bad):
     for pair in [(c_i, c_j), (c_j, c_i)]:
         with pytest.raises(ValueError, match=f"^correlate id {bad} outside \\[0, 4\\)$"):
             baseline_predict(model, *pair)
+
+
+@pytest.mark.parametrize("mode", ["pool", "average"])
+@pytest.mark.parametrize("c_i, c_j, bad", [(1.5, 2, 1.5), (2.0, 1, 2.0), (4, 0.5, 0.5)])
+def test_non_integer_correlate_id_is_refused(mode, c_i, c_j, bad):
+    # Unchecked, a float id read as a correlate without training findings, or,
+    # when whole, as a hash hit on the correlate it equals.
+    corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4), (1, 3, 0.6), (2, 4, 0.1)])
+    model = fit_baseline(corpus, [0, 1, 2], mode=mode)
+    for pair in [(c_i, c_j), (c_j, c_i)]:
+        with pytest.raises(ValueError, match=f"^correlate id {re.escape(str(bad))} "
+                                             "is not an integer$"):
+            baseline_predict(model, *pair)
+    # numpy integer ids are integers: the same bits as Python ints.
+    for i in range(5):
+        for j in range(5):
+            if i != j:
+                want = baseline_predict(model, i, j).hex()
+                assert baseline_predict(model, np.int64(i), np.int64(j)).hex() == want
 
 
 @pytest.mark.parametrize("mode", ["pool", "average"])
@@ -180,7 +202,8 @@ def assert_matches_reference(corpus, train, exact):
                 else:
                     assert got == pytest.approx(want, abs=1e-12)
         if exact:
-            assert model.per_correlate == reference[0]
+            seen = {c: (s, k) for c, (s, k) in enumerate(zip(model.sums, model.counts)) if k}
+            assert seen == reference[0]
             assert model.global_mean == reference[2]
 
 
@@ -217,7 +240,7 @@ def test_split_corpus_indices_match_reference_exactly():
 def test_repeated_index_counts_every_occurrence():
     corpus = make_corpus([(0, 1, 0.2), (0, 2, 0.4), (1, 2, 0.7)])
     model = fit_baseline(corpus, [0, 0, 1])
-    assert model.per_correlate[0] == pytest.approx((0.8, 3))
+    assert (model.sums[0], model.counts[0]) == pytest.approx((0.8, 3))
     assert model.global_mean == pytest.approx(0.8 / 3)
     # Findings with 0 or 1: 0.2 twice and 0.4 once; the pair's own reports count once each.
     assert baseline_predict(model, 0, 1) == pytest.approx(0.8 / 3)
